@@ -222,30 +222,74 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
           sketches_.params(0).nominal_words(),
       "connectivity/boruvka-gather");
 
+  // The pre-cut trees, as fragments joined through the cut edges.
+  const auto frag_of = [&](VertexId x) {
+    return static_cast<VertexId>(frag_index.at(forest_.tour_of(x)));
+  };
+  Dsu trees(fragments.size());
+  for (const Edge& e : cuts) trees.unite(frag_of(e.u), frag_of(e.v));
+
   // Local AGM/Boruvka over the fragments (§6.3, "Constructing F_H").
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
   Dsu groups(fragments.size());
   std::vector<Edge> replacements;
   unsigned bank = 0;
   unsigned empty_streak = 0;
   while (bank < banks) {
     ++stats_.boruvka_levels;
-    // Group the fragments (group id = first appearance of the DSU root in
-    // fragment order — deterministic) and lay every group's vertex list
-    // out as one CSR, so the whole level is answered by a single
-    // level-at-a-time pass over the bank's arena.
+    // Group the fragments: group id = first appearance of the DSU root in
+    // fragment order (deterministic).
+    root_group_.assign(fragments.size(), kNone);
+    frag_group_.resize(fragments.size());
+    group_size_.clear();
+    group_tree_.clear();
+    for (std::size_t i = 0; i < fragments.size(); ++i) {
+      const VertexId root = groups.find(static_cast<VertexId>(i));
+      if (root_group_[root] == kNone) {
+        root_group_[root] = static_cast<std::uint32_t>(group_size_.size());
+        group_size_.push_back(0);
+        group_tree_.push_back(trees.find(static_cast<VertexId>(i)));
+      }
+      frag_group_[i] = root_group_[root];
+      group_size_[frag_group_[i]] += forest_.members_of(fragments[i]).size();
+    }
+    if (group_size_.size() <= 1) break;
+    // Complement sampling: a pre-cut tree is a union of graph components,
+    // so the summed sketch of its groups is zero and the largest group's
+    // sketch is the negated sum of its siblings'.  A negated sampler
+    // decodes to the same coordinate (OneSparseCell::decode), so that
+    // group is never merged from its members — the level costs the small
+    // groups only.  Ties go to the lowest group id.
+    tree_largest_.assign(fragments.size(), kNone);
+    for (std::uint32_t g = 0; g < group_size_.size(); ++g) {
+      std::uint32_t& best = tree_largest_[group_tree_[g]];
+      if (best == kNone || group_size_[g] > group_size_[best]) best = g;
+    }
+    // Lay every other group's vertex list out as one CSR, so the level is
+    // answered by a single level-at-a-time pass over the bank's arena.
     group_csr_.build(
         fragments.size(),
+        [&](std::size_t i) { return frag_group_[i]; },
         [&](std::size_t i) {
-          return groups.find(static_cast<VertexId>(i));
-        },
-        [&](std::size_t i) {
+          const std::uint32_t g = frag_group_[i];
+          if (tree_largest_[group_tree_[g]] == g)
+            return std::span<const VertexId>();
           const auto& members = forest_.members_of(fragments[i]);
           return std::span<const VertexId>(members.data(), members.size());
         });
-    if (group_csr_.groups() <= 1) break;
     sketches_.sample_boundaries(bank, group_csr_.members(),
                                 group_csr_.offsets(), group_scratch_,
                                 group_samples_);
+    for (std::uint32_t g = 0; g < group_size_.size(); ++g) {
+      const std::uint32_t largest = tree_largest_[group_tree_[g]];
+      if (largest != g)
+        group_scratch_[largest].merge(sketches_.params(bank),
+                                      group_scratch_[g]);
+    }
+    for (std::uint32_t g = 0; g < group_size_.size(); ++g) {
+      if (tree_largest_[group_tree_[g]] == g)
+        group_samples_[g] = sketches_.decode_sample(bank, group_scratch_[g]);
+    }
 
     bool any_edge = false;
     bool any_union = false;

@@ -18,7 +18,9 @@
 //   bank, merge the member sketches (O(1/phi) rounds) and gather them on
 //   one machine (Lemma 6.5); run AGM/Boruvka locally — level i queries
 //   bank i for a replacement edge out of each current group — and
-//   batch-join the accepted replacement edges.
+//   batch-join the accepted replacement edges.  The largest group of each
+//   pre-cut tree is sampled from the sum of its siblings (the tree's
+//   sketch sums to zero), so a level never merges the giant fragment.
 //
 // Correctness is with high probability against an oblivious adversary for
 // poly(n)-length streams (§1.1); failures are observable as over-counted
@@ -198,6 +200,14 @@ class DynamicConnectivity {
   GroupCsr group_csr_;
   std::vector<L0Sampler> group_scratch_;
   std::vector<std::optional<Edge>> group_samples_;
+  // Per-level grouping of the fragments: group of each fragment, group of
+  // each DSU root, and per group its vertex count and pre-cut tree; per
+  // tree (indexed by its DSU root) the group sampled as a complement.
+  std::vector<std::uint32_t> frag_group_;
+  std::vector<std::uint32_t> root_group_;
+  std::vector<std::size_t> group_size_;
+  std::vector<std::uint32_t> group_tree_;
+  std::vector<std::uint32_t> tree_largest_;
   // Serve-heavy query cache: tree edges accepted since the last published
   // snapshot (the repair set), repairable while no delete intervened.
   QueryCache query_cache_;

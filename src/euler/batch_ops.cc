@@ -159,15 +159,83 @@ void EulerTourForest::batch_link(std::span<const Edge> links) {
   for (const Edge& e : links) tree_edges_.insert(e);
 }
 
+// batch_cut splits every affected tour in ONE pass.  A cut's child c (the
+// endpoint nested inside the other w.r.t. the current root) owns the
+// interval [f(c)-1, l(c)+1] of the pre-batch tour: its descent pair, its
+// subtree, its ascent pair.  Distinct tree edges give intervals that are
+// disjoint or strictly nested (a laminar family), so one left-to-right
+// walk with a stack of open intervals sends every position to the
+// innermost open piece and drops each cut's four boundary occurrences.
+// The result — sequences, tour ids, f/l, members — is exactly what
+// sequential_cut leaves: the pieces do not depend on the cut order, and
+// the sub-tour ids are allocated in input cut order, as cut_impl would.
 void EulerTourForest::batch_cut(std::span<const Edge> cuts) {
   if (cuts.empty()) return;
+  // Validate the whole batch before any mutation.
+  std::vector<Edge> distinct;
+  distinct.reserve(cuts.size());
+  for (const Edge& e : cuts) {
+    distinct.push_back(make_edge(e.u, e.v));
+    SMPC_CHECK_MSG(tree_edges_.count(distinct.back()),
+                   "batch_cut of a non-tree edge");
+  }
+  std::sort(distinct.begin(), distinct.end());
+  SMPC_CHECK_MSG(
+      std::adjacent_find(distinct.begin(), distinct.end()) == distinct.end(),
+      "batch_cut of a duplicate edge");
   charge(cluster_ ? 2 * cluster_->broadcast_rounds() + 1 : 0,
          cluster_ ? cuts.size() * (cluster_->machines() + 1) : 0,
          "euler/batch-split");
+
+  struct Interval {
+    TourId tour;
+    std::uint32_t lo, hi;  // [f(child)-1, l(child)+1] in the pre-batch tour
+    VertexId child;
+    TourId piece;          // the child's new tour id
+  };
+  std::vector<Interval> iv;
+  iv.reserve(cuts.size());
   for (const Edge& e : cuts) {
-    SMPC_CHECK_MSG(tree_edges_.count(e), "batch_cut of a non-tree edge");
-    cut_impl(e.u, e.v);
+    const VertexId child = f_[e.u] > f_[e.v] ? e.u : e.v;
+    iv.push_back(Interval{tour_of_[child], f_[child] - 1, l_[child] + 1,
+                          child, alloc_tour()});
   }
+  std::sort(iv.begin(), iv.end(), [](const Interval& a, const Interval& b) {
+    return a.tour != b.tour ? a.tour < b.tour : a.lo < b.lo;
+  });
+
+  std::vector<std::uint32_t> open;  // stack of indices into iv
+  for (std::size_t begin = 0; begin < iv.size();) {
+    const TourId t = iv[begin].tour;
+    std::size_t end = begin;
+    while (end < iv.size() && iv[end].tour == t) ++end;
+    std::vector<VertexId>& tour = tours_[t];
+    const VertexId root = tour.front();
+    // The root piece keeps id t and is compacted in place: its write index
+    // never passes the read index.
+    open.clear();
+    std::size_t next = begin;
+    std::size_t kept = 0;
+    for (std::uint32_t i = 0; i < tour.size(); ++i) {
+      if (next < end && iv[next].lo == i)
+        open.push_back(static_cast<std::uint32_t>(next++));
+      if (open.empty()) {
+        tour[kept++] = tour[i];
+        continue;
+      }
+      const Interval& top = iv[open.back()];
+      if (i == top.hi) {
+        open.pop_back();
+      } else if (i > top.lo + 1 && i + 1 < top.hi) {
+        tours_[top.piece].push_back(tour[i]);
+      }
+    }
+    tour.resize(kept);
+    reindex(t, root);
+    for (std::size_t j = begin; j < end; ++j) reindex(iv[j].piece, iv[j].child);
+    begin = end;
+  }
+  for (const Edge& e : cuts) tree_edges_.erase(make_edge(e.u, e.v));
 }
 
 }  // namespace streammpc

@@ -88,7 +88,10 @@ class EulerTourForest {
   // for the whole batch.
   void batch_link(std::span<const Edge> links);
 
-  // Removes a batch of existing tree edges at once.  O(1) rounds.
+  // Removes a batch of existing tree edges at once.  O(1) rounds, and
+  // O(|tour| + k log k) local work per affected tour (one pass, not one
+  // per edge).  Leaves exactly the state sequential_cut(cuts) leaves.  A
+  // non-tree or repeated edge throws CheckError before any mutation.
   void batch_cut(std::span<const Edge> cuts);
 
   // Batch of Identify-Path operations in O(1) rounds (§7.1: broadcast all

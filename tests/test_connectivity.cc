@@ -315,5 +315,59 @@ TEST(Connectivity, StatsAreCoherent) {
   EXPECT_EQ(s.tree_deletes, 1u);
 }
 
+// FNV-1a over the sorted spanning forest, then the labels.
+std::uint64_t forest_and_labels_digest(const DynamicConnectivity& dc) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  };
+  for (const Edge& e : dc.spanning_forest()) {
+    mix(e.u);
+    mix(e.v);
+  }
+  for (const VertexId label : dc.labels()) mix(label);
+  return h;
+}
+
+TEST(Connectivity, DeleteHeavyStreamIsPinnedInEveryMode) {
+  // Complement sampling and the one-pass batch split must not move any
+  // answer: the forest, the labels and the Boruvka counters of this
+  // seeded delete-heavy stream are pinned to the values of the per-group
+  // merge and per-edge split they replaced, in every execution mode.
+  const VertexId n = 256;
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.initial_edges = 700;
+  opt.num_batches = 40;
+  opt.batch_size = 48;
+  opt.delete_fraction = 0.6;
+  Rng rng(4242);
+  const auto batches = gen::churn_stream(opt, rng);
+
+  for (const mpc::ExecMode mode :
+       {mpc::ExecMode::kFlat, mpc::ExecMode::kRouted,
+        mpc::ExecMode::kSimulated}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    mpc::Cluster cluster = test::make_cluster(n, 8);
+    ConnectivityConfig cfg = test_config(4243);
+    cfg.exec_mode = mode;
+    DynamicConnectivity dc(n, cfg, &cluster);
+    AdjGraph ref(n);
+    for (const auto& b : batches) {
+      dc.apply_batch(b);
+      ref.apply(b);
+    }
+    expect_matches_reference(dc, ref, "delete-heavy stream");
+    const auto& s = dc.stats();
+    EXPECT_EQ(forest_and_labels_digest(dc), 0xa00016b1d258b54dULL);
+    EXPECT_EQ(s.boruvka_levels, 121u);
+    EXPECT_EQ(s.empty_levels, 50u);
+    EXPECT_EQ(s.replacements_found, 537u);
+    EXPECT_EQ(s.max_banks_used, 4u);
+    EXPECT_EQ(s.tree_deletes, 605u);
+  }
+}
+
 }  // namespace
 }  // namespace streammpc

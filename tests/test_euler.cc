@@ -40,6 +40,33 @@ std::vector<Edge> bfs_path(const AdjGraph& forest, VertexId u, VertexId v) {
   return path;
 }
 
+// Byte-exact forest comparison: per vertex, the tour id, the tour
+// sequence, f/l and the member list, plus the tree-edge set.
+void expect_same_forest(const EulerTourForest& a, const EulerTourForest& b) {
+  ASSERT_EQ(a.n(), b.n());
+  EXPECT_EQ(a.num_trees(), b.num_trees());
+  EXPECT_EQ(a.tree_edges(), b.tree_edges());
+  for (VertexId v = 0; v < a.n(); ++v) {
+    EXPECT_EQ(a.tour_of(v), b.tour_of(v)) << "vertex " << v;
+    EXPECT_EQ(a.tour_sequence(v), b.tour_sequence(v)) << "vertex " << v;
+    EXPECT_EQ(a.first_pos(v), b.first_pos(v)) << "vertex " << v;
+    EXPECT_EQ(a.last_pos(v), b.last_pos(v)) << "vertex " << v;
+    EXPECT_EQ(a.tree_members(v), b.tree_members(v)) << "vertex " << v;
+  }
+}
+
+// Runs `cuts` through batch_cut on one copy of `f` and sequential_cut on
+// another and expects byte-identical results.
+void expect_batch_cut_matches_sequential(const EulerTourForest& f,
+                                         const std::vector<Edge>& cuts) {
+  EulerTourForest batched = f;
+  EulerTourForest sequential = f;
+  batched.batch_cut(cuts);
+  sequential.sequential_cut(cuts);
+  batched.validate();
+  expect_same_forest(batched, sequential);
+}
+
 TEST(EulerTour, InitialStateIsSingletons) {
   EulerTourForest f(5);
   f.validate();
@@ -228,10 +255,10 @@ TEST(EulerTour, BatchCutShattersTree) {
 }
 
 TEST(EulerTour, BatchEqualsSequentialFuzz) {
-  // Random batched links/cuts must yield the same partition as performing
-  // them one at a time.
+  // Random batched links/cuts must leave exactly the forest that performing
+  // them one at a time leaves: same tours, tour ids, f/l and members.
   Rng rng(501);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 300; ++trial) {
     const VertexId n = 40;
     EulerTourForest batched(n), sequential(n);
     Dsu dsu(n);
@@ -252,7 +279,10 @@ TEST(EulerTour, BatchEqualsSequentialFuzz) {
         EXPECT_EQ(batched.same_tree(u, 0), sequential.same_tree(u, 0));
       }
     }
-    // Now cut a random subset of tree edges in one batch.
+    // Re-root a few trees, then cut a random subset of tree edges in one
+    // batch, in shuffled order.
+    for (int i = 0; i < 3; ++i)
+      batched.make_root(static_cast<VertexId>(rng.below(n)));
     std::vector<Edge> all_edges(batched.tree_edges().begin(),
                                 batched.tree_edges().end());
     std::sort(all_edges.begin(), all_edges.end());
@@ -260,15 +290,79 @@ TEST(EulerTour, BatchEqualsSequentialFuzz) {
     for (const Edge& e : all_edges) {
       if (rng.chance(0.4)) cuts.push_back(e);
     }
-    batched.batch_cut(cuts);
-    sequential.sequential_cut(cuts);
-    batched.validate();
-    sequential.validate();
-    EXPECT_EQ(batched.num_trees(), sequential.num_trees());
-    for (VertexId u = 0; u < n; ++u)
-      for (VertexId v : {VertexId{0}, VertexId{7}, VertexId{23}})
-        EXPECT_EQ(batched.same_tree(u, v), sequential.same_tree(u, v));
+    shuffle(cuts, rng);
+    expect_batch_cut_matches_sequential(batched, cuts);
   }
+}
+
+TEST(EulerTour, BatchCutMatchesSequentialOnReRootedTrees) {
+  Rng rng(504);
+  const VertexId n = 30;
+  EulerTourForest f(n);
+  for (const Edge& e : gen::random_tree(n, rng)) f.link(e.u, e.v);
+  std::vector<Edge> edges(f.tree_edges().begin(), f.tree_edges().end());
+  std::sort(edges.begin(), edges.end());
+  for (VertexId root = 0; root < n; root += 7) {
+    f.make_root(root);
+    const std::vector<Edge> cuts{edges[root % edges.size()],
+                                 edges[(root * 3 + 5) % edges.size()]};
+    if (cuts[0] == cuts[1]) continue;
+    expect_batch_cut_matches_sequential(f, cuts);
+  }
+}
+
+TEST(EulerTour, BatchCutMatchesSequentialOnNestedCuts) {
+  // A parent edge and a child edge in one batch, in both orders, plus a
+  // cut that leaves the root a singleton.
+  EulerTourForest f(8);
+  for (VertexId i = 0; i + 1 < 6; ++i) f.link(i, i + 1);
+  f.link(2, 6);
+  f.link(6, 7);
+  expect_batch_cut_matches_sequential(f, {make_edge(1, 2), make_edge(2, 3)});
+  expect_batch_cut_matches_sequential(f, {make_edge(2, 3), make_edge(1, 2)});
+  expect_batch_cut_matches_sequential(
+      f, {make_edge(6, 7), make_edge(0, 1), make_edge(2, 6), make_edge(4, 5)});
+}
+
+TEST(EulerTour, BatchCutMatchesSequentialAcrossTrees) {
+  Rng rng(505);
+  const VertexId n = 48;
+  EulerTourForest f(n);
+  // Three trees over disjoint vertex ranges, linked in random order.
+  for (VertexId base : {VertexId{0}, VertexId{16}, VertexId{32}}) {
+    for (const Edge& e : gen::random_tree(16, rng))
+      f.link(base + e.u, base + e.v);
+  }
+  std::vector<Edge> edges(f.tree_edges().begin(), f.tree_edges().end());
+  std::sort(edges.begin(), edges.end());
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Edge> cuts;
+    for (const Edge& e : edges)
+      if (rng.chance(0.3)) cuts.push_back(e);
+    shuffle(cuts, rng);
+    expect_batch_cut_matches_sequential(f, cuts);
+  }
+}
+
+TEST(EulerTour, BatchCutRejectsInvalidBatchWithoutMutation) {
+  mpc::MpcConfig cfg;
+  cfg.n = 8;
+  mpc::Cluster cluster(cfg);
+  EulerTourForest f(8, &cluster);
+  for (VertexId i = 0; i + 1 < 6; ++i) f.link(i, i + 1);
+  const EulerTourForest before = f;
+  const auto rounds = cluster.rounds();
+  // Non-tree edge after a valid one.
+  const std::vector<Edge> non_tree{make_edge(1, 2), make_edge(0, 7)};
+  EXPECT_THROW(f.batch_cut(non_tree), CheckError);
+  expect_same_forest(f, before);
+  // Repeated edge, the second time in reversed orientation.
+  const std::vector<Edge> repeated{make_edge(3, 4), make_edge(1, 2),
+                                   Edge{4, 3}};
+  EXPECT_THROW(f.batch_cut(repeated), CheckError);
+  expect_same_forest(f, before);
+  EXPECT_EQ(cluster.rounds(), rounds);
+  f.validate();
 }
 
 TEST(EulerTour, RandomOpFuzzAgainstReference) {
