@@ -3,7 +3,8 @@
 // Measures the edge-update hot path at five altitudes:
 //   * raw sketches, single updates (update_edge) — legacy vs flat engine;
 //   * raw sketches, batched updates (update_edges) with a bank-parallel
-//     thread sweep;
+//     thread sweep, plus a batch-size sweep at 1, 2 and 4 threads that
+//     locates the grid's serial/parallel crossover;
 //   * routed batches through the simulated MPC cluster (route_batch +
 //     per-machine CommLedger accounting, §5/§6) at several machine counts;
 //   * the AGM baseline structure absorbing insert batches (§4.1);
@@ -121,6 +122,56 @@ void run(const IngestConfig& cfg) {
     json.set("update_edges.threads_" + std::to_string(threads) +
                  ".ops_per_sec",
              ops);
+  }
+
+  // Serial/parallel crossover of the 2-D grid: batched update_edges at
+  // small batch sizes and 1, 2, 4 ingest threads, after an untimed insert
+  // pass has allocated every page (best of three delete + insert rounds).
+  // Below the library's parallel threshold a multi-threaded VertexSketches
+  // runs serially, so there the threads > 1 rows track threads = 1.
+  {
+    const std::vector<EdgeDelta> probe(
+        deltas.begin(),
+        deltas.begin() + std::min<std::size_t>(deltas.size(), 2048));
+    Table ct({"batch", "threads", "edges/sec", "vs 1 thread"});
+    for (const std::size_t batch : {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}) {
+      double serial_ops = 0;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        GraphSketchConfig threaded = sketch;
+        threaded.ingest_threads = threads;
+        VertexSketches vs(cfg.n, threaded);
+        std::vector<EdgeDelta> work = probe;
+        const auto pass = [&](std::int64_t sign) {
+          for (EdgeDelta& d : work) d.delta = sign;
+          for (std::size_t start = 0; start < work.size(); start += batch) {
+            const std::size_t len = std::min(batch, work.size() - start);
+            vs.update_edges(std::span<const EdgeDelta>(work.data() + start,
+                                                       len));
+          }
+        };
+        pass(+1);
+        double best = 0;
+        for (int round = 0; round < 3; ++round) {
+          bench::Timer timer;
+          pass(-1);
+          pass(+1);
+          best = std::max(best, ops_per_sec(2 * work.size(), timer.seconds()));
+        }
+        if (threads == 1) serial_ops = best;
+        ct.add_row()
+            .cell(static_cast<std::uint64_t>(batch))
+            .cell(static_cast<std::uint64_t>(threads))
+            .cell(best, 0)
+            .cell(best / serial_ops, 2);
+        json.set("crossover.batch_" + std::to_string(batch) + ".threads_" +
+                     std::to_string(threads) + ".ops_per_sec",
+                 best);
+      }
+    }
+    bench::section("E11b: serial/parallel crossover of the 2-D grid",
+                   "the ingest pool pays for itself from the library's "
+                   "parallel threshold (16 items) up");
+    ct.print(std::cout);
   }
 
   // Routed ingest: the same batches split per simulated machine

@@ -121,14 +121,4 @@ void ThreadPool::parallel_for_grid(
   dispatch(rows * cols, flat);
 }
 
-void ThreadPool::parallel_for_grid3(
-    std::size_t rows, std::size_t cols, std::size_t shards,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (rows == 0 || cols == 0 || shards == 0) return;
-  const std::function<void(std::size_t)> flat = [&](std::size_t i) {
-    fn(i / (cols * shards), (i / shards) % cols, i % shards);
-  };
-  dispatch(rows * cols * shards, flat);
-}
-
 }  // namespace streammpc

@@ -80,21 +80,16 @@ class ExecPlan {
   std::uint64_t machines() const { return view_->machines(); }
 
   // Executes the lowered grid against `sketches`: canonical-order page
-  // preparation, then all machines() x sketches.banks() cells.  When the
-  // sketches are configured with shards > 1 (GraphSketchConfig::shards /
-  // SMPC_SHARDS) and the batch clears the parallel threshold, the grid
-  // gains a shard axis: each cell's item stripes apply into per-(bank,
-  // shard) scratch arenas (VertexSketches::begin_shard_cells /
-  // ingest_cell_shard) and merge back afterwards — byte-identical to the
-  // 2-D grid for every shard count, with all accounting unchanged (charges
-  // and budget gates live outside run()).  `pool` null = serial canonical
-  // (machine-major, bank, shard-ascending) order.  `order`, when
-  // non-empty, permutes the machine rows (the Simulator's order-invariance
-  // hook; must be a permutation of [0, machines()) — validated by the
-  // caller).  Returns the number of items applied (nonzero delta, at least
-  // one owned endpoint), summed over every cell of the grid — folded in
-  // machine-major order from per-cell scratch slots, so the value is
-  // identical for every schedule (it feeds Simulator::Stats directly).
+  // preparation, then all machines() x sketches.banks() cells.  All
+  // accounting stays outside run() (charges and budget gates live in the
+  // callers).  `pool` null = serial canonical (machine-major, then bank)
+  // order.  `order`, when non-empty, permutes the machine rows (the
+  // Simulator's order-invariance hook; must be a permutation of
+  // [0, machines()) — validated by the caller).  Returns the number of
+  // items applied (nonzero delta, at least one owned endpoint), summed over
+  // every cell of the grid — folded in machine-major order from per-cell
+  // scratch slots, so the value is identical for every schedule (it feeds
+  // Simulator::Stats directly).
   //
   // As the single choke point every ingest path executes, run() also bumps
   // `sketches.mutation_epoch()` before touching any arena — the query-cache

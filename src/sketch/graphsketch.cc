@@ -1,13 +1,10 @@
 #include "sketch/graphsketch.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/random.h"
 #include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
@@ -18,56 +15,24 @@ namespace streammpc {
 
 namespace {
 // Below this batch size the per-dispatch cost of waking the pool exceeds
-// the cell-parallel win; single updates always take the serial path.
-constexpr std::size_t kParallelBatchMin = 4;
+// the cell-parallel win: the measured serial/parallel crossover of the
+// grid at 2 and 4 ingest threads (bench_ingest E11b; DESIGN.md, "Unified
+// ingest pipeline").
+constexpr std::size_t kParallelBatchMin = 16;
 
-unsigned resolve_threads(unsigned configured, unsigned cells) {
+unsigned resolve_threads(unsigned configured, unsigned banks) {
   if (configured == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     configured = hw == 0 ? 1 : hw;
   }
-  return std::min(configured, cells);
-}
-
-// Shard-mode resolution (construction time).  configured >= 1 fixes S.
-// configured == 0 defers to SMPC_SHARDS: a number fixes S (validated like
-// every other numeric knob), the literal "auto" — or the knob unset or
-// invalid — selects adaptive per-batch planning (fixed stays 1; the real
-// count comes from plan_shards(routed)).  Both paths cap at kShardCap.
-struct ShardMode {
-  unsigned fixed;
-  bool adaptive;
-};
-ShardMode resolve_shards(unsigned configured) {
-  if (configured != 0)
-    return {std::min(configured, VertexSketches::kShardCap), false};
-  const char* env = std::getenv("SMPC_SHARDS");
-  if (env != nullptr && std::string_view(env) != "auto") {
-    if (const auto v = env_positive_unsigned("SMPC_SHARDS"))
-      return {std::min(*v, VertexSketches::kShardCap), false};
-  }
-  return {1, true};
-}
-
-// Stripe s's contiguous item sub-range of a machine's CSR slice
-// [begin, end).  Items, not vertices: a hot cell whose applies all hit one
-// vertex (a star hub) still splits evenly.
-std::pair<std::size_t, std::size_t> shard_slice(std::size_t begin,
-                                                std::size_t end,
-                                                unsigned shard,
-                                                unsigned shards) {
-  const std::size_t len = end - begin;
-  return {begin + len * shard / shards, begin + len * (shard + 1) / shards};
+  return std::min(configured, banks);
 }
 }  // namespace
 
 VertexSketches::VertexSketches(VertexId n, const GraphSketchConfig& config)
     : n_(n),
       codec_(n),
-      shards_(resolve_shards(config.shards).fixed),
-      auto_shards_(resolve_shards(config.shards).adaptive),
-      ingest_threads_(resolve_threads(config.ingest_threads,
-                                      config.banks * shards_)) {
+      ingest_threads_(resolve_threads(config.ingest_threads, config.banks)) {
   SMPC_CHECK(config.banks >= 1);
   SplitMix64 sm(config.seed);
   params_.reserve(config.banks);
@@ -132,7 +97,6 @@ std::uint64_t VertexSketches::merge_delta_cells(const DeltaSketch& delta,
   // preparation pass before any further cell ingest.
   cells_ready_batch_ = nullptr;
   cells_ready_items_ = kCellsNotReady;
-  shard_cells_ready_ = false;
   return delta.applied();
 }
 
@@ -141,7 +105,6 @@ void VertexSketches::begin_routed_cells(const mpc::RoutedBatch& routed,
   const std::size_t count = routed.items.size();
   cells_ready_batch_ = nullptr;
   cells_ready_items_ = kCellsNotReady;
-  shard_cells_ready_ = false;
   // Validate and encode every item before any page is allocated, so a bad
   // edge throws with the arenas untouched (the same contract as
   // ingest_items).
@@ -231,174 +194,6 @@ std::uint64_t VertexSketches::ingest_cell(std::uint64_t machine, unsigned bank,
   return applied;
 }
 
-unsigned VertexSketches::plan_shards(std::size_t items) const {
-  return (!auto_shards_ && shards_ > 1 && items >= kParallelBatchMin)
-             ? shards_
-             : 1;
-}
-
-unsigned VertexSketches::plan_shards(const mpc::RoutedBatch& routed) {
-  unsigned s = 1;
-  if (routed.items.size() >= kParallelBatchMin) {
-    if (!auto_shards_) {
-      s = shards_;
-    } else {
-      // skew = ceil(max-load / mean-load) over machines with nonzero load
-      // — exactly the imbalance the item stripes can reclaim: a uniform
-      // batch has skew 1 (keep the 2-D grid), a star stream whose hub
-      // machine holds k times the mean gets ~k stripes.  Pure function of
-      // load_words, so the plan — and hence the grid shape — is
-      // deterministic for a given routed batch.
-      std::uint64_t max_load = 0;
-      std::uint64_t total = 0;
-      std::uint64_t loaded = 0;
-      for (const std::uint64_t w : routed.load_words) {
-        if (w == 0) continue;
-        ++loaded;
-        total += w;
-        if (w > max_load) max_load = w;
-      }
-      if (loaded > 0) {
-        const std::uint64_t skew = (max_load * loaded + total - 1) / total;
-        while (s < skew && s < kShardCap) s *= 2;
-      }
-      if (s > 1) ++auto_sharded_batches_;
-    }
-  }
-  last_planned_shards_ = s;
-  return s;
-}
-
-void VertexSketches::begin_shard_cells(const mpc::RoutedBatch& routed,
-                                       unsigned shards, ThreadPool* pool) {
-  SMPC_CHECK(shards >= 1 && shards <= kShardCap);
-  SMPC_CHECK_MSG(cells_ready_batch_ == &routed &&
-                     cells_ready_items_ == routed.items.size(),
-                 "begin_routed_cells must prepare this batch first");
-  shard_cells_ready_ = false;
-  if (scratch_stride_ < shards) {
-    // First sharded batch, or an adaptive plan wider than any before:
-    // (re)build the scratch bed at the new stride.  The arenas are
-    // scratch, so dropping narrower ones loses only warmed capacity.
-    shard_scratch_.clear();
-    shard_scratch_.reserve(static_cast<std::size_t>(banks()) * shards);
-    for (unsigned b = 0; b < banks(); ++b) {
-      for (unsigned s = 0; s < shards; ++s)
-        shard_scratch_.emplace_back(n_, params_[b]);
-    }
-    scratch_stride_ = shards;
-  }
-  active_shards_ = shards;
-  const std::uint64_t machines = routed.machines();
-  // Two plan buffers per (machine, bank, shard) slot for the pipelined
-  // ingest loop (see ingest_cell).
-  const std::size_t slots =
-      static_cast<std::size_t>(machines) * banks() * shards * 2;
-  if (shard_plans_.size() < slots) shard_plans_.resize(slots);
-  // Scratch page preparation, one independent task per (bank, shard).
-  // Tasks of the same (bank, shard) across machines share one scratch
-  // arena, so the task itself walks machines ascending over stripe s —
-  // a deterministic first-touch sequence (the apply tasks then allocate
-  // nothing and write disjoint pre-sized pages: machines own disjoint
-  // vertex blocks, so the 3-D grid stays race-free in any schedule).
-  const auto prepare_shard = [&](std::size_t flat) {
-    const unsigned b = static_cast<unsigned>(flat / shards);
-    const unsigned s = static_cast<unsigned>(flat % shards);
-    BankArena& scratch =
-        shard_scratch_[static_cast<std::size_t>(b) * scratch_stride_ + s];
-    scratch.reset();
-    const L0Params& params = params_[b];
-    for (std::uint64_t m = 0; m < machines; ++m) {
-      const auto [lo, hi] =
-          shard_slice(routed.offsets[m], routed.offsets[m + 1], s, shards);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const mpc::RoutedBatch::Item& item = routed.items[i];
-        if (item.delta.delta == 0 || item.endpoints == 0) continue;
-        const unsigned depth = params.depth_of(coord_scratch_[i]);
-        if (item.endpoints & mpc::RoutedBatch::kEndpointV)
-          scratch.prepare_pages(item.delta.e.v, depth);
-        if (item.endpoints & mpc::RoutedBatch::kEndpointU)
-          scratch.prepare_pages(item.delta.e.u, depth);
-      }
-    }
-  };
-  const std::size_t tasks = static_cast<std::size_t>(banks()) * shards;
-  if (pool != nullptr && tasks >= 2) {
-    pool->parallel_for(tasks, prepare_shard);
-  } else {
-    for (std::size_t t = 0; t < tasks; ++t) prepare_shard(t);
-  }
-  shard_cells_ready_ = true;
-}
-
-std::uint64_t VertexSketches::ingest_cell_shard(std::uint64_t machine,
-                                                unsigned bank, unsigned shard,
-                                                const mpc::RoutedBatch& routed) {
-  SMPC_CHECK(machine < routed.machines() && bank < banks() &&
-             shard < active_shards_);
-  SMPC_CHECK_MSG(shard_cells_ready_ && cells_ready_batch_ == &routed &&
-                     cells_ready_items_ == routed.items.size(),
-                 "begin_shard_cells must prepare this batch first");
-  const auto [begin, end] = shard_slice(routed.offsets[machine],
-                                        routed.offsets[machine + 1], shard,
-                                        active_shards_);
-  BankArena& arena =
-      shard_scratch_[static_cast<std::size_t>(bank) * scratch_stride_ + shard];
-  const L0Params& params = params_[bank];
-  // Same software-pipelined discipline as ingest_cell: hash + hint item
-  // i+1's exact cell records while item i applies into lines prefetched
-  // one iteration ago.  Apply order is untouched, so bytes are identical.
-  CoordPlan* cur =
-      &shard_plans_[2 * ((machine * banks() + bank) * active_shards_ + shard)];
-  CoordPlan* next = cur + 1;
-  std::size_t planned_for = end;  // index whose plan sits in *cur
-  std::uint64_t applied = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const mpc::RoutedBatch::Item& item = routed.items[i];
-    if (item.delta.delta == 0 || item.endpoints == 0) continue;
-    if (planned_for != i)
-      params.plan_coord(coord_scratch_[i], item.delta.delta, *cur);
-    if (i + 1 < end) {
-      const mpc::RoutedBatch::Item& peek = routed.items[i + 1];
-      if (peek.delta.delta != 0 && peek.endpoints != 0) {
-        arena.prefetch_hot(peek.delta.e);
-        params.plan_coord(coord_scratch_[i + 1], peek.delta.delta, *next);
-        arena.prefetch_planned(peek.delta.e, *next);
-        planned_for = i + 1;
-      }
-    }
-    const Coord c = coord_scratch_[i];
-    if (item.endpoints & mpc::RoutedBatch::kEndpointV)
-      arena.apply(item.delta.e.v, c, item.delta.delta, *cur, /*negated=*/false);
-    if (item.endpoints & mpc::RoutedBatch::kEndpointU)
-      arena.apply(item.delta.e.u, c, -item.delta.delta, *cur, /*negated=*/true);
-    ++applied;
-    if (planned_for == i + 1) std::swap(cur, next);
-  }
-  return applied;
-}
-
-void VertexSketches::merge_shard_cells(ThreadPool* pool) {
-  SMPC_CHECK_MSG(shard_cells_ready_, "no prepared shard cells to merge");
-  // Shard-ascending fold per bank: merge order is deterministic, and cell
-  // sums commute, so the resident bytes equal the 2-D grid's exactly.  The
-  // resident pages were all sized by begin_routed_cells' canonical pass,
-  // so the merge allocates nothing and page numbering is untouched.
-  const auto merge_bank = [&](std::size_t b) {
-    for (unsigned s = 0; s < active_shards_; ++s)
-      arenas_[b].merge_from(shard_scratch_[b * scratch_stride_ + s]);
-  };
-  if (pool != nullptr && banks() >= 2) {
-    pool->parallel_for(banks(), merge_bank);
-  } else {
-    for (unsigned b = 0; b < banks(); ++b) merge_bank(b);
-  }
-  // The prepared state was consumed; a re-merge would double-apply.
-  shard_cells_ready_ = false;
-  cells_ready_batch_ = nullptr;
-  cells_ready_items_ = kCellsNotReady;
-}
-
 void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed,
                                        ThreadPool* pool) {
   const std::size_t count = routed.items.size();
@@ -439,7 +234,6 @@ void VertexSketches::rollback_transaction() {
   // exist; force a fresh preparation pass before any further cell ingest.
   cells_ready_batch_ = nullptr;
   cells_ready_items_ = kCellsNotReady;
-  shard_cells_ready_ = false;
 }
 
 void VertexSketches::commit_transaction() {

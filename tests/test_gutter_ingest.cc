@@ -192,46 +192,6 @@ TEST(GutterIngest, DrainedStateMatchesFlatAcrossGeometryAndThreads) {
   }
 }
 
-TEST(GutterIngest, DrainedStateMatchesFlatUnderSharding) {
-  // ISSUE 9 composition check: a structure configured with shards > 1
-  // drains through the delta-merge choke point (which is per-bank, not
-  // per-shard) while its direct ingest runs the 3-D grid — the two paths
-  // must still agree byte-for-byte with each other and with the unsharded
-  // baseline, for mixed streams and capacities that interleave them.
-  const VertexId n = 96;
-  GraphSketchConfig base = sketch_config(n, 8901, 6);
-  base.shards = 1;
-  base.ingest_threads = 1;
-  const auto deltas = random_deltas(n, 600, 8902);
-  const auto sets = probe_sets(n, 8903);
-
-  VertexSketches ref(n, base);
-  ref.update_edges(std::span<const EdgeDelta>(deltas));
-
-  GraphSketchConfig sharded = base;
-  sharded.shards = 4;
-  sharded.ingest_threads = 8;
-
-  VertexSketches flat(n, sharded);
-  flat.update_edges(std::span<const EdgeDelta>(deltas));
-  expect_identical_vertex_state(ref, flat, "sharded-flat");
-
-  for (const std::size_t capacity : {std::size_t{7}, std::size_t{256}}) {
-    const std::string where = "sharded-gutter/capacity=" +
-                              std::to_string(capacity);
-    VertexSketches vs(n, sharded);
-    GutterIngestConfig gc;
-    gc.gutter_capacity = capacity;
-    gc.drain_threads = 2;
-    GutterIngest gutter(n, vs, gc);
-    gutter.submit(std::span<const EdgeDelta>(deltas));
-    gutter.flush();
-    EXPECT_EQ(gutter.stats().applied, deltas.size() * base.banks) << where;
-    expect_identical_samples(ref, vs, base.banks, sets);
-    expect_identical_vertex_state(ref, vs, where);
-  }
-}
-
 TEST(GutterIngest, ChurnCoalescingStaysByteIdenticalToFlat) {
   // The drain path folds same-edge deltas within one batch to their net
   // weight before any hashing (DeltaSketch::accumulate).  Cells are linear

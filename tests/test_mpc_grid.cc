@@ -1,8 +1,9 @@
 // Conformance suite for the 2-D (machine x bank) grid executor (ISSUE 4):
-// thread-count invariance of simulated ingest (byte-identical sketches,
-// identical CommLedger state, identical Stats including the overrun list
-// in deterministic order, across threads {1, 2, 8} and machines
-// {1, 4, 16, 64}); the canonical machine-major serial order of the
+// thread-count invariance of simulated ingest on a random stream and the
+// hot-cell adversaries (byte-identical sketches, identical CommLedger
+// state, identical Stats including the overrun list in deterministic
+// order, across threads {1, 2, 8} and machines {1, 4, 16, 64}); the
+// canonical machine-major serial order of the
 // single-thread fallback; pre-mutation rejection by strict clusters even
 // under a concurrent schedule; and the resident-memory accounting
 // (vertex blocks, resident sums, ledger peaks, resident-driven rejection).
@@ -152,35 +153,50 @@ TEST(GridConformance, ThreadCountInvarianceAcrossMachineCounts) {
   GraphSketchConfig cfg;
   cfg.banks = 6;
   cfg.seed = 71003;
-  const auto deltas = random_deltas(n, 400, 72);
   const auto sets = probe_sets(n, 73);
+  // A mixed insert/delete stream plus the hot-cell adversaries, whose
+  // skewed cells (a star hub, one hot vertex block, power-law hubs) are the
+  // schedules the work-stealing pool rebalances hardest.
+  struct Stream {
+    const char* name;
+    std::vector<EdgeDelta> deltas;
+  };
+  const Stream streams[] = {
+      {"random", random_deltas(n, 400, 72)},
+      {"star", test::star_deltas(n)},
+      {"hot-block", test::hot_block_deltas(n, n / 16, 400, 71004)},
+      {"power-law", test::power_law_deltas(n, 400, 71005)},
+  };
 
-  VertexSketches flat(n, cfg);
-  flat.update_edges(deltas);
+  for (const Stream& stream : streams) {
+    VertexSketches flat(n, cfg);
+    flat.update_edges(stream.deltas);
 
-  for (const std::uint64_t machines : kMachineCounts) {
-    SimRun baseline(n, cfg, machines, /*threads=*/1);
-    baseline.ingest(deltas, 64);
-    expect_identical_samples(flat, baseline.sketches, cfg.banks, sets);
-    EXPECT_EQ(flat.allocated_words(), baseline.sketches.allocated_words());
-
-    for (const unsigned threads : kThreadCounts) {
-      if (threads == 1) continue;
+    for (const std::uint64_t machines : kMachineCounts) {
       SCOPED_TRACE(::testing::Message()
-                   << "machines=" << machines << " threads=" << threads);
-      SimRun run(n, cfg, machines, threads);
-      run.ingest(deltas, 64);
-      // Byte-identical sketches, identical ledger, identical stats — the
-      // grid schedule must be unobservable.
-      expect_identical_samples(baseline.sketches, run.sketches, cfg.banks,
-                               sets);
-      EXPECT_EQ(baseline.sketches.allocated_words(),
-                run.sketches.allocated_words());
-      expect_identical_ledgers(baseline.cluster.comm_ledger(),
-                               run.cluster.comm_ledger());
-      expect_identical_stats(baseline.sim.stats(), run.sim.stats());
-      EXPECT_EQ(baseline.cluster.rounds(), run.cluster.rounds());
-      EXPECT_EQ(baseline.cluster.comm_total(), run.cluster.comm_total());
+                   << stream.name << " machines=" << machines);
+      SimRun baseline(n, cfg, machines, /*threads=*/1);
+      baseline.ingest(stream.deltas, 64);
+      expect_identical_samples(flat, baseline.sketches, cfg.banks, sets);
+      EXPECT_EQ(flat.allocated_words(), baseline.sketches.allocated_words());
+
+      for (const unsigned threads : kThreadCounts) {
+        if (threads == 1) continue;
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        SimRun run(n, cfg, machines, threads);
+        run.ingest(stream.deltas, 64);
+        // Byte-identical sketches, identical ledger, identical stats — the
+        // grid schedule must be unobservable.
+        expect_identical_samples(baseline.sketches, run.sketches, cfg.banks,
+                                 sets);
+        EXPECT_EQ(baseline.sketches.allocated_words(),
+                  run.sketches.allocated_words());
+        expect_identical_ledgers(baseline.cluster.comm_ledger(),
+                                 run.cluster.comm_ledger());
+        expect_identical_stats(baseline.sim.stats(), run.sim.stats());
+        EXPECT_EQ(baseline.cluster.rounds(), run.cluster.rounds());
+        EXPECT_EQ(baseline.cluster.comm_total(), run.cluster.comm_total());
+      }
     }
   }
 }
@@ -482,57 +498,6 @@ TEST(GridRollback, MidGridFaultRestoresExactBytesAcrossThreadsAndMachines) {
       // And the state is still live, not merely readable: redelivering the
       // batch (fault consumed) lands on the flat two-batch reference.
       run.sim.execute(routed, "rollback-b2", run.sketches);
-      expect_identical_samples(after2, run.sketches, cfg.banks, sets);
-      EXPECT_EQ(run.sketches.allocated_words(), after2.allocated_words());
-    }
-  }
-}
-
-TEST(GridRollback, ShardedGridFaultRestoresExactBytesAcrossThreadsAndShards) {
-  // Same contract under the 3-D sharded grid (ISSUE 9): the injected fault
-  // loses every stripe of the skipped cell, every other cell's scratch
-  // work is still merged into the resident arenas, and the transactional
-  // rollback must restore the pre-batch bytes exactly — for every
-  // shard count x thread count combination.
-  const VertexId n = 96;
-  GraphSketchConfig cfg;
-  cfg.banks = 5;
-  cfg.seed = 71601;
-  const auto deltas = random_deltas(n, 400, 71602);
-  const auto sets = probe_sets(n, 71603);
-  const std::span<const EdgeDelta> all(deltas);
-  const auto batch1 = all.first(200);
-  const auto batch2 = all.subspan(200);
-
-  VertexSketches after1(n, cfg);
-  after1.update_edges(batch1);
-  VertexSketches after2(n, cfg);
-  after2.update_edges(batch1);
-  after2.update_edges(batch2);
-
-  for (const unsigned shards : {2u, 4u, 8u}) {
-    cfg.shards = shards;
-    for (const unsigned threads : kThreadCounts) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " threads=" << threads);
-      mpc::FaultInjector injector;
-      SimRun run(n, cfg, /*machines=*/8, threads);
-      run.sim.attach_fault_injector(&injector);
-      mpc::RoutedBatch routed;
-      run.cluster.route_batch(batch1, n, routed);
-      run.sim.execute(routed, "shard-rollback-b1", run.sketches);
-      expect_identical_samples(after1, run.sketches, cfg.banks, sets);
-      const std::uint64_t words_after1 = run.sketches.allocated_words();
-
-      injector.add_cell_fault(run.sim.stats().cell_steps + 3);
-      run.cluster.route_batch(batch2, n, routed);
-      EXPECT_THROW(run.sim.execute(routed, "shard-rollback-b2", run.sketches),
-                   mpc::TransientFault);
-      expect_identical_samples(after1, run.sketches, cfg.banks, sets);
-      EXPECT_EQ(run.sketches.allocated_words(), words_after1);
-      EXPECT_EQ(run.sim.stats().rollbacks, 1u);
-
-      run.sim.execute(routed, "shard-rollback-b2", run.sketches);
       expect_identical_samples(after2, run.sketches, cfg.banks, sets);
       EXPECT_EQ(run.sketches.allocated_words(), after2.allocated_words());
     }

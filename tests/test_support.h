@@ -75,10 +75,10 @@ inline std::vector<EdgeDelta> er_deltas(VertexId n, std::size_t m,
   return insert_deltas(gen::gnm(n, m, rng));
 }
 
-// --- hot-cell adversarial streams (ISSUE 9) ----------------------------------
+// --- hot-cell adversarial streams --------------------------------------------
 // Named workloads that concentrate one (machine, bank) cell's work — the
-// streams the 3-D sharded grid exists for — shared by bench_hot_cell and
-// the shard-invariance tests so the worst case is reproducible by name.
+// worst case for the grid's work-stealing schedule — fed to the grid
+// thread-invariance suite so the worst case is reproducible by name.
 
 // Log-uniform (Zipf-like) vertex: rank r drawn with density ~1/r, so low
 // ids dominate — under the contiguous-block partitioner they all live on
