@@ -9,7 +9,11 @@
 //     per-machine CommLedger accounting, §5/§6) at several machine counts;
 //   * the AGM baseline structure absorbing insert batches (§4.1);
 //   * streaming connectivity consuming a mixed insert/delete stream
-//     through the buffered apply_stream path (§4.2), routed on a cluster.
+//     through the buffered apply_stream path (§4.2), routed on a cluster;
+//   * the per-delivery resident fold (VertexSketches::resident_fold, the
+//     Simulator's resident + delivered budget probe) on a power-law
+//     insert stream, timed against the O(n) page-map scan it replaced and
+//     checked word for word against it after every batch.
 //
 // Emits the paper-style table on stdout and BENCH_ingest.json for the
 // cross-PR perf trajectory.  `--quick` shrinks the workload for CI smoke
@@ -36,10 +40,89 @@ struct IngestConfig {
   std::size_t edges = 1 << 15;
   std::size_t batch_size = 1 << 12;
   int repeats = 2;
+  unsigned fold_pa_degree = 4;  // resident-fold row: edges per new vertex
 };
 
 double ops_per_sec(std::size_t ops, double seconds) {
   return seconds > 0 ? static_cast<double>(ops) / seconds : 0.0;
+}
+
+// Resident fold vs the full scan, per batch: after each insert batch the
+// fold reads every machine's resident words (incrementally, from the pages
+// allocated since the last call) and the oracle rescans every bank's page
+// maps over every machine's vertex block.  Only the two reads are timed.
+// The stream is replayed on fresh sketches five times and the median
+// trial's speedup is recorded, so one noisy trial cannot move the gate.
+void resident_fold_row(const IngestConfig& cfg, bench::BenchJson& json) {
+  const VertexId n = 1 << 14;
+  const std::uint64_t machines = 128;
+  const std::size_t batch = 1024;
+  Rng rng(7005);
+  std::vector<Edge> edges =
+      gen::preferential_attachment(n, cfg.fold_pa_degree, rng);
+  shuffle(edges, rng);
+  std::vector<EdgeDelta> deltas;
+  deltas.reserve(edges.size());
+  for (const Edge& e : edges) deltas.push_back(EdgeDelta{e, +1});
+  const std::size_t batches = (deltas.size() + batch - 1) / batch;
+
+  mpc::MpcConfig mc;
+  mc.n = n;
+  mc.phi = 0.5;
+  mc.machines = machines;
+  const mpc::Cluster cluster(mc);
+  GraphSketchConfig sketch;
+  sketch.seed = 7006;
+
+  struct Trial {
+    double fold_s = 0, scan_s = 0;
+    double speedup() const { return fold_s > 0 ? scan_s / fold_s : 0.0; }
+  };
+  bool exact = true;
+  std::vector<std::uint64_t> scan(machines);
+  std::vector<Trial> trials(5);
+  for (Trial& trial : trials) {
+    VertexSketches vs(n, sketch);
+    for (std::size_t start = 0; start < deltas.size(); start += batch) {
+      vs.update_edges(std::span<const EdgeDelta>(deltas).subspan(
+          start, std::min(batch, deltas.size() - start)));
+      bench::Timer fold_timer;
+      const std::span<const std::uint64_t> fold = vs.resident_fold(cluster);
+      trial.fold_s += fold_timer.seconds();
+      bench::Timer scan_timer;
+      for (std::uint64_t m = 0; m < machines; ++m) {
+        const auto [first, last] = cluster.vertex_block(m, n);
+        scan[m] = 0;
+        for (unsigned b = 0; b < vs.banks(); ++b)
+          scan[m] += vs.arena(b).resident_words(static_cast<VertexId>(first),
+                                                static_cast<VertexId>(last));
+      }
+      trial.scan_s += scan_timer.seconds();
+      exact = exact && std::equal(fold.begin(), fold.end(), scan.begin());
+    }
+  }
+  std::sort(trials.begin(), trials.end(), [](const Trial& a, const Trial& b) {
+    return a.speedup() < b.speedup();
+  });
+  const Trial& median = trials[trials.size() / 2];
+  const double fold_ms = 1e3 * median.fold_s / batches;
+  const double scan_ms = 1e3 * median.scan_s / batches;
+  bench::section("E11c: resident fold per delivery (n = 2^14, " +
+                     std::to_string(machines) + " machines, " +
+                     std::to_string(batches) + " power-law insert batches)",
+                 "");
+  Table t({"read", "ms/batch", "vs scan"});
+  t.add_row().cell("page-map scan").cell(scan_ms, 4).cell(1.0, 2);
+  t.add_row().cell("incremental fold").cell(fold_ms, 4)
+      .cell(median.speedup(), 1);
+  t.print(std::cout);
+  std::cout << "fold == scan after every batch: " << (exact ? "yes" : "NO")
+            << "\n";
+  json.set("resident_fold.batches", static_cast<std::uint64_t>(batches));
+  json.set("resident_fold.fold_ms_per_batch", fold_ms);
+  json.set("resident_fold.scan_ms_per_batch", scan_ms);
+  json.set("resident_fold.speedup_vs_scan", median.speedup());
+  json.set("resident_fold.exact_ok", exact ? 1 : 0);
 }
 
 void run(const IngestConfig& cfg) {
@@ -272,6 +355,7 @@ void run(const IngestConfig& cfg) {
   }
 
   t.print(std::cout);
+  resident_fold_row(cfg, json);
   json.flush();
 }
 
@@ -286,6 +370,7 @@ int main(int argc, char** argv) {
       cfg.edges = 1 << 12;
       cfg.batch_size = 1 << 10;
       cfg.repeats = 1;
+      cfg.fold_pa_degree = 2;
     } else {
       std::cerr << "unknown argument: " << argv[i]
                 << "\nusage: bench_ingest [--quick]\n";

@@ -248,18 +248,20 @@ void BatchScheduler::do_grow(const std::string& label,
   // Fold the resident distribution at the NEW count — those are exactly
   // the words each new machine receives — and put the full volume on the
   // ledger (honest accounting: re-partitioning is not free).
-  resident_scratch_.assign(after, 0);
+  // (resident_fold refolds from scratch here: the machine count changed.)
+  std::span<const std::uint64_t> resident;
   if (sketches) {
-    for (std::uint64_t m = 0; m < after; ++m)
-      resident_scratch_[m] = sketches->resident_words(m, cluster_);
+    resident = sketches->resident_fold(cluster_);
   } else {
+    resident_scratch_.assign(after, 0);
     target->resident(resident_scratch_);
+    resident = resident_scratch_;
   }
   std::uint64_t moved = 0;
-  for (const std::uint64_t w : resident_scratch_) moved += w;
+  for (const std::uint64_t w : resident) moved += w;
   cluster_.add_rounds(control + 1, label + "/grow-shuffle");
   cluster_.charge_comm(moved);
-  cluster_.comm_ledger().record_round(resident_scratch_);
+  cluster_.comm_ledger().record_round(resident);
   ++stats_.grows;
   stats_.grow_rounds += control + 1;
   stats_.grow_words += moved;

@@ -195,32 +195,19 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
 }
 
 std::span<const std::uint64_t> Simulator::resident_fold(
-    const VertexSketches& sketches, std::uint64_t machines) {
+    const VertexSketches& sketches) const {
   // Resident fold (pre-mutation): the sketch shard each machine already
-  // hosts, against which a delivery's scratch claim stacks.  Pages are
-  // never freed, so the fold (an O(n) page-map scan) only needs to re-run
-  // when the allocation watermark has grown since the last one — in the
-  // saturated steady state every batch pays just the O(banks) watermark
-  // check.
-  const std::uint64_t allocated = sketches.allocated_words();
-  if (&sketches != resident_cache_sketches_ ||
-      allocated != resident_cache_words_ ||
-      resident_scratch_.size() != machines) {
-    resident_scratch_.resize(machines);
-    for (std::uint64_t m = 0; m < machines; ++m) {
-      resident_scratch_[m] = sketches.resident_words(m, cluster_);
-    }
-    resident_cache_sketches_ = &sketches;
-    resident_cache_words_ = allocated;
-  }
-  return resident_scratch_;
+  // hosts, against which a delivery's scratch claim stacks.  Incremental
+  // in the sketches — O(pages allocated since the last delivery), with a
+  // full O(pages) refold only after a rollback or a machine-count change.
+  return sketches.resident_fold(cluster_);
 }
 
 Simulator::BudgetProbe Simulator::probe(const RoutedBatch& routed,
                                         const VertexSketches& sketches) {
   SMPC_CHECK_MSG(routed.machines() == cluster_.machines(),
                  "routed batch was built for a different machine count");
-  return probe(routed, resident_fold(sketches, routed.machines()));
+  return probe(routed, resident_fold(sketches));
 }
 
 Simulator::BudgetProbe Simulator::probe(
@@ -263,8 +250,7 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
     seen_scratch_[m] = 1;
   }
 
-  const std::span<const std::uint64_t> resident =
-      resident_fold(sketches, machines);
+  const std::span<const std::uint64_t> resident = resident_fold(sketches);
   // Gates first — a crashed target machine or a strict budget overflow
   // rejects the batch with zero mutation and zero charge.
   fault_gate(routed, label);

@@ -27,13 +27,15 @@
 //    local memory s, and a machine's claim on it is not just the delivered
 //    sub-batch (scratch) but the sketch shard it hosts *permanently* —
 //    the arena pages of its vertex block (resident).  Before every
-//    delivery the executor folds resident[m] =
-//    VertexSketches::resident_words(m, cluster) per machine, charges
-//    resident + delivered against the budget, records the peaks on the
-//    CommLedger, and surfaces both components in Stats.  The batch-dynamic
-//    MPC line (Nowicki–Onak, arXiv:2002.07800) and the round-compression
-//    work (arXiv:1807.08745) both size batches so exactly this sum stays
-//    under s; charging only the delivery (PR 3) understated the claim.
+//    delivery the executor reads resident[m] for every machine from
+//    VertexSketches::resident_fold(cluster) — incremental, O(pages
+//    allocated since the previous delivery), since pages are only ever
+//    appended — charges resident + delivered against the budget, records
+//    the peaks on the CommLedger, and surfaces both components in Stats.
+//    The batch-dynamic MPC line (Nowicki–Onak, arXiv:2002.07800) and the
+//    round-compression work (arXiv:1807.08745) both size batches so
+//    exactly this sum stays under s; charging only the delivery, as the
+//    first executor did, understated the claim.
 //
 // Determinism of accounting: the budget pre-scan, the resident fold, the
 // delivery charge, and the Stats fold all run serially, in machine-major
@@ -284,10 +286,10 @@ class Simulator {
   // fault fires.
   bool scan_cell_faults(const RoutedBatch& routed, unsigned banks,
                         std::uint64_t* fault_machine, unsigned* fault_bank);
-  // Folds (with memoization) each machine's resident sketch-shard words
-  // into resident_scratch_ and returns it.
-  std::span<const std::uint64_t> resident_fold(const VertexSketches& sketches,
-                                               std::uint64_t machines);
+  // Each machine's resident sketch-shard words at this cluster's geometry
+  // (VertexSketches::resident_fold, incremental).
+  std::span<const std::uint64_t> resident_fold(
+      const VertexSketches& sketches) const;
   // Effective per-machine budget: strict clusters are additionally bound
   // by local memory s (see the ctor comment).
   std::uint64_t effective_budget() const;
@@ -301,16 +303,8 @@ class Simulator {
   std::unique_ptr<ThreadPool> pool_;  // lazily created for grid_threads > 1
   std::vector<std::uint64_t> order_scratch_;     // ascending ids, reused
   std::vector<char> seen_scratch_;               // permutation check, reused
-  std::vector<std::uint64_t> resident_scratch_;  // [machine], reused
   ExecPlan plan_;  // the shared grid executor, buffers reused
   std::uint64_t fault_step_scratch_ = 0;  // step id of the last fired fault
-  // Resident-fold memo: the per-machine resident distribution changes only
-  // when the allocation watermark moves — growth from ingest, or the exact
-  // restoration of a rollback (which returns both the watermark and the
-  // distribution to the cached pre-batch state) — so the O(n)-scan fold is
-  // re-run only on a changed watermark (O(banks * stores) to check).
-  const VertexSketches* resident_cache_sketches_ = nullptr;
-  std::uint64_t resident_cache_words_ = 0;
 };
 
 }  // namespace mpc

@@ -187,6 +187,15 @@ std::uint64_t BankArena::resident_words(VertexId lo, VertexId hi) const {
   return words;
 }
 
+BankArena::StoreFootprint BankArena::store_footprint(unsigned store) const {
+  SMPC_CHECK(store < stores());
+  const Store& s = store == 0 ? hot_ : overflow_[store - 1];
+  const std::size_t cells = store == 0 ? hot_cells_ : cells_per_level_;
+  // Same accounting as resident_words(): 4 words per cell record.
+  return {std::span<const VertexId>(s.owner.data(), s.pages), cells * 4,
+          !s.page_of.empty()};
+}
+
 void BankArena::merge_into(const L0Params& params,
                            std::span<const VertexId> vertices,
                            L0Sampler& out) const {

@@ -111,8 +111,28 @@ class BankArena {
   // vertices under the contiguous-block partitioner.  Page-map words are
   // charged at the same half-word-per-entry rate as allocated_words(), so
   // summing over a partition of [0, n) reproduces allocated_words() up to
-  // one word of rounding per block.
+  // one word of rounding per block.  An O(hi - lo) page-map scan per
+  // store: the executor reads the incremental VertexSketches::resident_fold
+  // instead, and this stays as the fold's exactness oracle.
   std::uint64_t resident_words(VertexId lo, VertexId hi) const;
+
+  // One level store's footprint, in the terms resident_words() charges:
+  // the owners of its pages in allocation order (the reverse map — pages
+  // are only ever appended, and only rollback_pages truncates), the cell
+  // words one page holds, and whether its page map is populated (charged
+  // half a word per vertex).  Stores are numbered hot
+  // first, then one per overflow level.  This is what lets
+  // VertexSketches::resident_fold count only the pages allocated since
+  // its last call.
+  struct StoreFootprint {
+    std::span<const VertexId> owners;
+    std::uint64_t page_words = 0;
+    bool page_map = false;
+  };
+  unsigned stores() const {
+    return 1 + static_cast<unsigned>(overflow_.size());
+  }
+  StoreFootprint store_footprint(unsigned store) const;
 
   // --- transactional ingest (fault tolerance, see mpc/fault_injector.h) -----
   // Brackets one batch's page preparation + apply pipeline so a faulted or

@@ -230,6 +230,9 @@ void VertexSketches::begin_transaction(const mpc::RoutedBatch& routed,
 void VertexSketches::rollback_transaction() {
   note_mutation();  // restored bytes are still a state-change event
   for (BankArena& arena : arenas_) arena.rollback_pages();
+  // The truncated stores may regrow past the fold's counts with different
+  // owners, so the next resident_fold starts over.
+  fold_.machines = 0;
   // The prepared-cells state described a batch whose pages may no longer
   // exist; force a fresh preparation pass before any further cell ingest.
   cells_ready_batch_ = nullptr;
@@ -240,15 +243,54 @@ void VertexSketches::commit_transaction() {
   for (BankArena& arena : arenas_) arena.snapshot_commit();
 }
 
+std::span<const std::uint64_t> VertexSketches::resident_fold(
+    const mpc::Cluster& cluster) const {
+  ResidentFold& fold = fold_;
+  const std::uint64_t machines = cluster.machines();
+  const unsigned stores = arenas_.front().stores();
+  bool refold = fold.machines != machines;
+  for (std::size_t b = 0; b < arenas_.size() && !refold; ++b) {
+    for (unsigned s = 0; s < stores && !refold; ++s) {
+      refold = arenas_[b].store_footprint(s).owners.size() <
+               fold.folded[b * stores + s];
+    }
+  }
+  if (refold) {
+    ++fold.refolds;
+    fold.machines = machines;
+    fold.folded.assign(arenas_.size() * stores, 0);
+    fold.cell_words.assign(machines, 0);
+    fold.half_block.resize(machines);
+    for (std::uint64_t m = 0; m < machines; ++m) {
+      const auto [first, last] = cluster.vertex_block(m, n_);
+      fold.half_block[m] = (last - first) / 2;
+    }
+  }
+  // Each store charges its pages' cell words to the owners' machines plus,
+  // once its page map exists, half a word per vertex of every block —
+  // BankArena::resident_words's per-store formula, summed.
+  std::uint64_t mapped_stores = 0;
+  for (std::size_t b = 0; b < arenas_.size(); ++b) {
+    for (unsigned s = 0; s < stores; ++s) {
+      const BankArena::StoreFootprint store = arenas_[b].store_footprint(s);
+      std::uint32_t& folded = fold.folded[b * stores + s];
+      for (std::size_t p = folded; p < store.owners.size(); ++p)
+        fold.cell_words[cluster.machine_of(store.owners[p], n_)] +=
+            store.page_words;
+      folded = static_cast<std::uint32_t>(store.owners.size());
+      if (store.page_map) ++mapped_stores;
+    }
+  }
+  fold.words.resize(machines);
+  for (std::uint64_t m = 0; m < machines; ++m)
+    fold.words[m] = fold.cell_words[m] + mapped_stores * fold.half_block[m];
+  return fold.words;
+}
+
 std::uint64_t VertexSketches::resident_words(std::uint64_t machine,
                                              const mpc::Cluster& cluster) const {
-  const auto [first, last] = cluster.vertex_block(machine, n_);
-  std::uint64_t total = 0;
-  for (const BankArena& arena : arenas_) {
-    total += arena.resident_words(static_cast<VertexId>(first),
-                                  static_cast<VertexId>(last));
-  }
-  return total;
+  SMPC_CHECK(machine < cluster.machines());
+  return resident_fold(cluster)[machine];
 }
 
 void VertexSketches::merged_into(unsigned bank,

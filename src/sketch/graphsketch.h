@@ -179,14 +179,32 @@ class VertexSketches {
   void rollback_transaction();
   void commit_transaction();
 
-  // Words of sketch-shard state resident on `machine`: the arena pages (and
-  // page-map share) of the vertex block the cluster's partitioner assigns
-  // it, summed over banks.  This is the memory the machine holds *between*
-  // rounds — charged against local memory s alongside the delivered
-  // sub-batch by the Simulator's resident-fidelity accounting.  `universe`
-  // for the block is n().
+  // Words of sketch-shard state resident on every machine of `cluster`
+  // ([machine], cluster.machines() entries): the arena pages (and page-map
+  // share) of the vertex block the cluster's partitioner assigns it,
+  // summed over banks — exactly sum_b arena(b).resident_words(block).
+  // This is the memory a machine holds *between* rounds, charged against
+  // local memory s alongside the delivered sub-batch by the Simulator's
+  // resident-fidelity accounting and shuffled by the scheduler's grows.
+  // `universe` for the blocks is n().
+  //
+  // Incremental: the fold remembers how many pages of each (bank, store)
+  // it has counted and adds only the newer pages' cell words, each to
+  // machine_of(owner), so a call costs O(new pages + banks * stores +
+  // machines).  It refolds from scratch (O(pages), through the owner
+  // lists) on the first call, when the machine count changes, after
+  // rollback_transaction(), and if a store ever holds fewer pages than it
+  // counted.  The span stays valid until the next call.  The fold state is
+  // mutable behind this const API: only the single ingest writer calls it
+  // (the Simulator's probe and the scheduler's grow); query readers never
+  // do.
+  std::span<const std::uint64_t> resident_fold(
+      const mpc::Cluster& cluster) const;
+  // One machine's entry of resident_fold(cluster).
   std::uint64_t resident_words(std::uint64_t machine,
                                const mpc::Cluster& cluster) const;
+  // Full refolds resident_fold has run so far.
+  std::uint64_t resident_refolds() const { return fold_.refolds; }
 
   // Merged sampler of bank `bank` over a vertex set (Lemma 3.5's S_A).
   // The _into variant reuses `out`'s buffer across calls.
@@ -278,6 +296,17 @@ class VertexSketches {
   std::size_t cells_ready_items_ = kCellsNotReady;
   mpc::ExecPlan exec_plan_;  // the update_edges lowering, buffers reused
   std::uint64_t mutation_epoch_ = 0;  // see mutation_epoch()
+  // Incremental resident fold state (see resident_fold()).  machines == 0
+  // marks it stale: never folded, or invalidated by a rollback.
+  struct ResidentFold {
+    std::uint64_t machines = 0;
+    std::vector<std::uint32_t> folded;       // [bank * stores + store] pages
+    std::vector<std::uint64_t> cell_words;   // [machine] counted page words
+    std::vector<std::uint64_t> half_block;   // [machine] block size / 2
+    std::vector<std::uint64_t> words;        // [machine] the fold's result
+    std::uint64_t refolds = 0;
+  };
+  mutable ResidentFold fold_;
 };
 
 // Deterministic CSR grouping for sample_boundaries(): assigns items

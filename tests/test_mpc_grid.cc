@@ -6,7 +6,8 @@
 // canonical machine-major serial order of the
 // single-thread fallback; pre-mutation rejection by strict clusters even
 // under a concurrent schedule; and the resident-memory accounting
-// (vertex blocks, resident sums, ledger peaks, resident-driven rejection).
+// (vertex blocks, resident sums, ledger peaks, resident-driven rejection),
+// including the incremental resident fold against its O(n) oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +18,11 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
+#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
 #include "mpc/fault_injector.h"
 #include "mpc/simulator.h"
+#include "sketch/delta_sketch.h"
 #include "sketch/graphsketch.h"
 #include "test_support.h"
 
@@ -501,6 +504,166 @@ TEST(GridRollback, MidGridFaultRestoresExactBytesAcrossThreadsAndMachines) {
       expect_identical_samples(after2, run.sketches, cfg.banks, sets);
       EXPECT_EQ(run.sketches.allocated_words(), after2.allocated_words());
     }
+  }
+}
+
+// ---------------- Incremental resident fold ---------------------------------
+
+// The fold's O(n) oracle: every bank's page-map scan over each machine's
+// vertex block.  Reads the fold through both resident_fold and
+// resident_words, at the cluster's current machine count.
+void expect_fold_exact(const VertexSketches& vs, const mpc::Cluster& cluster) {
+  const std::span<const std::uint64_t> fold = vs.resident_fold(cluster);
+  ASSERT_EQ(fold.size(), cluster.machines());
+  for (std::uint64_t m = 0; m < cluster.machines(); ++m) {
+    const auto [first, last] = cluster.vertex_block(m, vs.n());
+    std::uint64_t oracle = 0;
+    for (unsigned b = 0; b < vs.banks(); ++b) {
+      oracle += vs.arena(b).resident_words(static_cast<VertexId>(first),
+                                           static_cast<VertexId>(last));
+    }
+    EXPECT_EQ(fold[m], oracle) << "machine " << m;
+    EXPECT_EQ(vs.resident_words(m, cluster), oracle) << "machine " << m;
+  }
+}
+
+// Scheduler-driven simulated ingest that checks the fold after every batch.
+struct FoldRun {
+  mpc::FaultInjector injector;
+  mpc::Cluster cluster;
+  mpc::Simulator sim;
+  mpc::BatchScheduler sched;
+  VertexSketches vs;
+
+  FoldRun(VertexId n, const GraphSketchConfig& cfg, std::uint64_t machines,
+          unsigned threads, mpc::SplitPolicy policy, mpc::GrowPolicy grow,
+          mpc::FaultInjector plan = {}, bool strict = false,
+          std::uint64_t budget = 0)
+      : injector(std::move(plan)),
+        cluster(test::make_cluster(n, machines, 0.5, strict)),
+        sim(cluster, budget, threads),
+        sched(cluster, sim, config(policy, grow)),
+        vs(n, cfg) {
+    if (!injector.empty()) sim.attach_fault_injector(&injector);
+  }
+
+  static mpc::SchedulerConfig config(mpc::SplitPolicy policy,
+                                     mpc::GrowPolicy grow) {
+    mpc::SchedulerConfig sc;
+    sc.policy = policy;
+    sc.grow = grow;
+    return sc;
+  }
+
+  void ingest_checked(std::span<const EdgeDelta> deltas, std::size_t chunk) {
+    for (std::size_t start = 0; start < deltas.size(); start += chunk) {
+      const std::size_t len = std::min(chunk, deltas.size() - start);
+      sched.execute(deltas.subspan(start, len), vs.n(), "fold", vs);
+      expect_fold_exact(vs, cluster);
+    }
+  }
+};
+
+constexpr unsigned kFoldThreads[] = {1, 4};
+
+TEST(ResidentFold, InsertOnlyPowerLawStreamUnderProportionalScheduler) {
+  // Every batch allocates pages, so every probe folds new pages in — and
+  // never refolds: one full fold, on the first call, for the whole stream.
+  const VertexId n = 512;
+  GraphSketchConfig cfg;
+  cfg.banks = 6;
+  cfg.seed = 71601;
+  const auto deltas = test::power_law_deltas(n, 3000, 71602);
+  for (const unsigned threads : kFoldThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    FoldRun run(n, cfg, 16, threads, mpc::SplitPolicy::kProportional,
+                mpc::GrowPolicy::kNone);
+    run.ingest_checked(deltas, 150);
+    EXPECT_EQ(run.vs.resident_refolds(), 1u);
+    EXPECT_EQ(run.sim.stats().rollbacks, 0u);
+  }
+}
+
+TEST(ResidentFold, SeededCellFaultRollbacksRefoldOncePerRollback) {
+  // A rollback truncates the stores the fold already counted; the retry's
+  // probe must refold from scratch, and nothing else may.
+  const VertexId n = 256;
+  GraphSketchConfig cfg;
+  cfg.banks = 5;
+  cfg.seed = 71701;
+  const auto deltas = random_deltas(n, 1600, 71702);
+  const std::uint64_t machines = 8;
+  mpc::FaultInjector::RandomPlanConfig rc;
+  rc.seed = 71703;
+  rc.machines = machines;
+  rc.cell_faults = 3;
+  rc.step_horizon = 400;
+  for (const unsigned threads : kFoldThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    FoldRun run(n, cfg, machines, threads, mpc::SplitPolicy::kBisect,
+                mpc::GrowPolicy::kNone,
+                mpc::FaultInjector::random_plan(rc));
+    run.ingest_checked(deltas, 100);
+    ASSERT_GT(run.sim.stats().rollbacks, 0u);
+    EXPECT_EQ(run.vs.resident_refolds(), 1 + run.sim.stats().rollbacks);
+  }
+}
+
+TEST(ResidentFold, MachineDoublingRefoldsAtTheNewCount) {
+  // The star stream of the machine-growing scenario: the resident shards
+  // outgrow the budget at P machines, the scheduler doubles the cluster,
+  // and the fold must refold exactly once more, at 2P.
+  const VertexId n = 128;
+  const std::uint64_t machines = 4;
+  GraphSketchConfig cfg;
+  cfg.banks = 4;
+  cfg.seed = 61601;
+  const auto inserts = test::insert_deltas(gen::star_graph(n));
+  mpc::Cluster wide = test::make_cluster(n, 2 * machines);
+  VertexSketches sizing(n, cfg);
+  sizing.update_edges(inserts);
+  std::uint64_t resident_2p = 0;
+  for (std::uint64_t m = 0; m < 2 * machines; ++m)
+    resident_2p = std::max(resident_2p, sizing.resident_words(m, wide));
+  const std::uint64_t budget = resident_2p + 16 * mpc::RoutedBatch::kWordsPerDelta;
+  for (const unsigned threads : kFoldThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    FoldRun run(n, cfg, machines, threads, mpc::SplitPolicy::kBisect,
+                mpc::GrowPolicy::kDouble, {}, /*strict=*/true, budget);
+    run.ingest_checked(inserts, 8);
+    EXPECT_EQ(run.sched.stats().grows, 1u);
+    EXPECT_EQ(run.cluster.machines(), 2 * machines);
+    EXPECT_EQ(run.vs.resident_refolds(), 2u);
+  }
+}
+
+TEST(ResidentFold, GutterDrainMergesFoldIncrementally) {
+  // merge_delta allocates resident pages through BankArena::merge_from,
+  // outside the Simulator; the next fold must still count them exactly.
+  const VertexId n = 384;
+  GraphSketchConfig base;
+  base.banks = 6;
+  base.seed = 71801;
+  const auto deltas = test::power_law_deltas(n, 2400, 71802);
+  const std::span<const EdgeDelta> all(deltas);
+  for (const unsigned threads : kFoldThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    GraphSketchConfig cfg = base;
+    cfg.ingest_threads = threads;
+    mpc::Cluster cluster = test::make_cluster(n, 12);
+    VertexSketches vs(n, cfg);
+    DeltaSketch delta(vs);
+    mpc::RoutedBatch routed;
+    for (std::size_t start = 0; start < all.size(); start += 200) {
+      cluster.route_batch(all.subspan(start, std::min<std::size_t>(
+                                                 200, all.size() - start)),
+                          n, routed);
+      delta.accumulate(routed);
+      vs.merge_delta(routed, delta);
+      delta.reset();
+      expect_fold_exact(vs, cluster);
+    }
+    EXPECT_EQ(vs.resident_refolds(), 1u);
   }
 }
 

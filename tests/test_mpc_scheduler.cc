@@ -46,12 +46,14 @@ constexpr std::uint64_t kMarginWords = 8 * mpc::RoutedBatch::kWordsPerDelta;
 mpc::SchedulerConfig bisect_config() {
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kBisect;
+  sc.grow = mpc::GrowPolicy::kNone;
   return sc;
 }
 
 mpc::SchedulerConfig proportional_config() {
   mpc::SchedulerConfig sc;
   sc.policy = mpc::SplitPolicy::kProportional;
+  sc.grow = mpc::GrowPolicy::kNone;
   return sc;
 }
 
