@@ -2,9 +2,10 @@
 // 1-sparse cells, L0-sampler update/merge/query, full edge updates on the
 // per-vertex sketch banks; plus the flat-arena engine against the frozen
 // seed implementation (legacy_sketch_ref.h) at the default config
-// (n = 2^16, 12 banks), and the AoS cell layout against the frozen
-// pre-switch SoA engine (soa_ref_arena.h) at a cache-pressured geometry —
-// all recorded in BENCH_sketch_micro.json.
+// (n = 2^16, 12 banks), the AoS cell layout against the frozen
+// pre-switch SoA engine (soa_ref_arena.h) at a cache-pressured geometry,
+// and the top-down Boruvka group query against the full-merge sampler on
+// churn-like fragments — all recorded in BENCH_sketch_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "graph/generators.h"
+#include "graph/reference.h"
 #include "legacy_sketch_ref.h"
 #include "sketch/coord.h"
 #include "sketch/graphsketch.h"
@@ -202,6 +205,11 @@ void BM_MergedBoundarySample(benchmark::State& state) {
 }
 BENCHMARK(BM_MergedBoundarySample)->Arg(16)->Arg(128)->Arg(512);
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 // Direct legacy-vs-flat comparison at the acceptance config (n = 2^16,
 // 12 banks), measured in one process and written to
 // BENCH_sketch_micro.json.  Returns ops/sec for `edges` single updates.
@@ -270,10 +278,6 @@ void record_layout_json(bench::BenchJson& json) {
   const int pairs = 7;
   const L0Shape shape{8, 8};
   const auto edges = random_edges(n, m, 47);
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
 
   // --- 1. hot loop, one bank pair seeded the way VertexSketches /
   // SoaRefSketches seed their first bank ---------------------------------
@@ -394,6 +398,134 @@ void record_layout_json(bench::BenchJson& json) {
             << "); end-to-end update_edges " << e2e_speedup << "x\n";
 }
 
+// Top-down Boruvka sampling against the full-merge oracle it replaced, on
+// the fragments a churn batch leaves behind: a G(n, 4n) graph, its
+// spanning forest, 64 random tree edges cut.  One Boruvka level per bank
+// samples every fragment, each pre-cut tree's largest fragment as the
+// complement of its siblings (DynamicConnectivity's delete path):
+//   * lazy — VertexSketches::sample_boundaries with the complement map;
+//   * full — merged_into every level of every other fragment, sum the
+//     siblings into the complement, then sample() (the pre-top-down path).
+// Interleaved pairs (full, lazy, ...); the speedup is the median of
+// per-pair time ratios.  exact_ok is 1 iff both answer identically for
+// every fragment in every bank.
+void record_boruvka_json(bench::BenchJson& json) {
+  const VertexId n = 1 << 14;
+  const std::size_t cuts = 64;
+  const int pairs = 7;
+  GraphSketchConfig cfg;  // defaults: 12 banks, {2, 8} shape
+  cfg.seed = 44;
+  cfg.ingest_threads = 1;
+  Rng rng(45);
+  const auto edges = gen::gnm(n, 4 * static_cast<std::size_t>(n), rng);
+  VertexSketches vs(n, cfg);
+  std::vector<EdgeDelta> batch;
+  batch.reserve(edges.size());
+  for (const Edge& e : edges) batch.push_back(EdgeDelta{e, +1});
+  vs.update_edges(batch);
+
+  // Spanning forest, then cut `cuts` random tree edges.
+  Dsu forest(n);
+  std::vector<Edge> tree;
+  for (const Edge& e : edges)
+    if (forest.unite(e.u, e.v)) tree.push_back(e);
+  shuffle(tree, rng);
+  Dsu pieces(n);
+  for (std::size_t i = cuts; i < tree.size(); ++i)
+    pieces.unite(tree[i].u, tree[i].v);
+  // Fragments = pieces holding a cut endpoint, in first-appearance order;
+  // each pre-cut tree's largest fragment is its complement group.
+  std::vector<VertexId> frag_of(n, kNoVertex);
+  std::vector<VertexId> roots;
+  for (std::size_t i = 0; i < cuts; ++i) {
+    for (const VertexId x : {tree[i].u, tree[i].v}) {
+      const VertexId r = pieces.find(x);
+      if (frag_of[r] != kNoVertex) continue;
+      frag_of[r] = static_cast<VertexId>(roots.size());
+      roots.push_back(r);
+    }
+  }
+  const std::size_t groups = roots.size();
+  std::vector<std::vector<VertexId>> frag_vertices(groups);
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexId f = frag_of[pieces.find(v)];
+    if (f != kNoVertex) frag_vertices[f].push_back(v);
+  }
+  std::vector<std::uint32_t> largest(n, ~0u);  // [pre-cut tree root]
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    std::uint32_t& best = largest[forest.find(roots[g])];
+    if (best == ~0u || frag_vertices[g].size() > frag_vertices[best].size())
+      best = g;
+  }
+  std::vector<std::uint32_t> complement(groups);
+  std::vector<VertexId> members;
+  std::vector<std::uint32_t> offsets{0};
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    complement[g] = largest[forest.find(roots[g])];
+    if (complement[g] != g)
+      members.insert(members.end(), frag_vertices[g].begin(),
+                     frag_vertices[g].end());
+    offsets.push_back(static_cast<std::uint32_t>(members.size()));
+  }
+
+  BoundaryScratch scratch;
+  std::vector<std::optional<Edge>> lazy(groups * vs.banks());
+  const auto lazy_pass = [&] {
+    bench::Timer timer;
+    for (unsigned b = 0; b < vs.banks(); ++b) {
+      const auto out =
+          vs.sample_boundaries(b, members, offsets, complement, scratch);
+      std::copy(out.begin(), out.end(), lazy.begin() + b * groups);
+    }
+    return timer.seconds();
+  };
+  std::vector<L0Sampler> merged(groups);
+  std::vector<std::optional<Edge>> full(groups * vs.banks());
+  const auto full_pass = [&] {
+    bench::Timer timer;
+    for (unsigned b = 0; b < vs.banks(); ++b) {
+      const L0Params& params = vs.params(b);
+      for (std::uint32_t g = 0; g < groups; ++g) {
+        const std::span<const VertexId> own(
+            members.data() + offsets[g], offsets[g + 1] - offsets[g]);
+        vs.merged_into(b, own, merged[g]);
+      }
+      for (std::uint32_t g = 0; g < groups; ++g)
+        if (complement[g] != g) merged[complement[g]].merge(params, merged[g]);
+      for (std::uint32_t g = 0; g < groups; ++g)
+        full[b * groups + g] = vs.decode_sample(b, merged[g]);
+    }
+    return timer.seconds();
+  };
+  std::vector<double> ratios, full_secs, lazy_secs;
+  bool exact = true;
+  for (int p = 0; p < pairs; ++p) {
+    const double tf = full_pass();
+    const double tl = lazy_pass();
+    exact = exact && lazy == full;
+    ratios.push_back(tf / tl);
+    full_secs.push_back(tf);
+    lazy_secs.push_back(tl);
+  }
+  const double speedup = median(ratios);
+  const double calls = static_cast<double>(vs.banks());
+  json.set("boruvka.n", static_cast<std::uint64_t>(n));
+  json.set("boruvka.cuts", static_cast<std::uint64_t>(cuts));
+  json.set("boruvka.groups", static_cast<std::uint64_t>(groups));
+  json.set("boruvka.walked_members", static_cast<std::uint64_t>(members.size()));
+  json.set("boruvka.pairs", static_cast<std::uint64_t>(pairs));
+  json.set("boruvka.ms_per_level_full", 1e3 * median(full_secs) / calls);
+  json.set("boruvka.ms_per_level_lazy", 1e3 * median(lazy_secs) / calls);
+  json.set("boruvka.speedup_lazy_vs_full", speedup);
+  json.set("boruvka.exact_ok", exact ? 1.0 : 0.0);
+  std::cout << "boruvka group sampling (n=" << n << ", " << cuts << " cuts, "
+            << groups << " fragments, " << members.size()
+            << " walked members): full " << 1e3 * median(full_secs) / calls
+            << " ms/level, lazy " << 1e3 * median(lazy_secs) / calls
+            << " ms/level (median-of-" << pairs << "-pairs " << speedup
+            << "x), exact " << (exact ? "OK" : "FAIL") << "\n";
+}
+
 void record_speedup_json() {
   const VertexId n = 1 << 16;
   const std::size_t m = 4096;
@@ -434,6 +566,7 @@ void record_speedup_json() {
   json.set("edge_update.speedup_batched_vs_legacy", batched_ops / legacy_ops);
   json.set("memory.flat_words", flat_vs.allocated_words());
   record_layout_json(json);
+  record_boruvka_json(json);
   json.flush();
 
   std::cout << "single-thread edge-update ops/sec: legacy=" << legacy_ops

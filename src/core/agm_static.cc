@@ -134,18 +134,19 @@ AgmStaticConnectivity::query_spanning_forest() {
       cluster_->charge_comm(n_);
     }
     // Supernode CSR (group id = first appearance of the DSU root in vertex
-    // order — deterministic); one level-at-a-time arena pass answers every
+    // order — deterministic); one top-down arena pass answers every
     // supernode's boundary query together.
     group_csr_.build(
         n_, [&](std::size_t v) { return dsu.find(static_cast<VertexId>(v)); },
         [&](std::size_t v) {
           return std::span<const VertexId>(&vertex_ids[v], 1);
         });
-    sketches_.sample_boundaries(level, group_csr_.members(),
-                                group_csr_.offsets(), group_scratch_,
-                                group_samples_);
+    const auto samples =
+        sketches_.sample_boundaries(level, group_csr_.members(),
+                                    group_csr_.offsets(), {},
+                                    boundary_scratch_);
     bool progress = false;
-    for (const auto& e : group_samples_) {
+    for (const auto& e : samples) {
       if (e && dsu.unite(e->u, e->v)) {
         result.forest.push_back(*e);
         progress = true;

@@ -113,10 +113,9 @@ class AgmStaticConnectivity {
   VertexSketches sketches_;
   std::vector<EdgeDelta> delta_scratch_;  // reused batch-ingest buffer
   mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
-  // Reused buffers for the level-at-a-time Boruvka queries.
+  // Reused buffers for the top-down Boruvka queries.
   GroupCsr group_csr_;
-  std::vector<L0Sampler> group_scratch_;
-  std::vector<std::optional<Edge>> group_samples_;
+  BoundaryScratch boundary_scratch_;
   // Serve-heavy query cache: edges inserted since the last published
   // snapshot (repairable while no delete intervened and the buffer stays
   // under its cap — this structure keeps no forest, so EVERY insert is a

@@ -256,44 +256,36 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
     if (group_size_.size() <= 1) break;
     // Complement sampling: a pre-cut tree is a union of graph components,
     // so the summed sketch of its groups is zero and the largest group's
-    // sketch is the negated sum of its siblings'.  A negated sampler
-    // decodes to the same coordinate (OneSparseCell::decode), so that
-    // group is never merged from its members — the level costs the small
-    // groups only.  Ties go to the lowest group id.
+    // sketch is the negated sum of its siblings'.  Every group names its
+    // tree's largest group (ties to the lowest id) as its complement; that
+    // group gets no members of its own and sample_boundaries sums it from
+    // its siblings — the level costs the small groups only.
     tree_largest_.assign(fragments.size(), kNone);
     for (std::uint32_t g = 0; g < group_size_.size(); ++g) {
       std::uint32_t& best = tree_largest_[group_tree_[g]];
       if (best == kNone || group_size_[g] > group_size_[best]) best = g;
     }
+    group_complement_.resize(group_size_.size());
+    for (std::uint32_t g = 0; g < group_size_.size(); ++g)
+      group_complement_[g] = tree_largest_[group_tree_[g]];
     // Lay every other group's vertex list out as one CSR, so the level is
-    // answered by a single level-at-a-time pass over the bank's arena.
+    // answered by a single top-down pass over the bank's arena.
     group_csr_.build(
         fragments.size(),
         [&](std::size_t i) { return frag_group_[i]; },
         [&](std::size_t i) {
           const std::uint32_t g = frag_group_[i];
-          if (tree_largest_[group_tree_[g]] == g)
-            return std::span<const VertexId>();
+          if (group_complement_[g] == g) return std::span<const VertexId>();
           const auto& members = forest_.members_of(fragments[i]);
           return std::span<const VertexId>(members.data(), members.size());
         });
-    sketches_.sample_boundaries(bank, group_csr_.members(),
-                                group_csr_.offsets(), group_scratch_,
-                                group_samples_);
-    for (std::uint32_t g = 0; g < group_size_.size(); ++g) {
-      const std::uint32_t largest = tree_largest_[group_tree_[g]];
-      if (largest != g)
-        group_scratch_[largest].merge(sketches_.params(bank),
-                                      group_scratch_[g]);
-    }
-    for (std::uint32_t g = 0; g < group_size_.size(); ++g) {
-      if (tree_largest_[group_tree_[g]] == g)
-        group_samples_[g] = sketches_.decode_sample(bank, group_scratch_[g]);
-    }
+    const auto samples = sketches_.sample_boundaries(
+        bank, group_csr_.members(), group_csr_.offsets(), group_complement_,
+        boundary_scratch_);
 
     bool any_edge = false;
     bool any_union = false;
-    for (const auto& edge : group_samples_) {
+    for (const auto& edge : samples) {
       if (!edge) continue;
       any_edge = true;
       // Both endpoints necessarily lie in fragments of the same original

@@ -196,17 +196,18 @@ class DynamicConnectivity {
   std::vector<VertexId> labels_;
   std::vector<EdgeDelta> delta_scratch_;  // reused batch-ingest buffer
   mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
-  // Reused buffers for the level-at-a-time Boruvka queries.
+  // Reused buffers for the top-down Boruvka queries.
   GroupCsr group_csr_;
-  std::vector<L0Sampler> group_scratch_;
-  std::vector<std::optional<Edge>> group_samples_;
+  BoundaryScratch boundary_scratch_;
   // Per-level grouping of the fragments: group of each fragment, group of
-  // each DSU root, and per group its vertex count and pre-cut tree; per
-  // tree (indexed by its DSU root) the group sampled as a complement.
+  // each DSU root, and per group its vertex count, pre-cut tree and
+  // complement group; per tree (indexed by its DSU root) the group sampled
+  // as a complement.
   std::vector<std::uint32_t> frag_group_;
   std::vector<std::uint32_t> root_group_;
   std::vector<std::size_t> group_size_;
   std::vector<std::uint32_t> group_tree_;
+  std::vector<std::uint32_t> group_complement_;
   std::vector<std::uint32_t> tree_largest_;
   // Serve-heavy query cache: tree edges accepted since the last published
   // snapshot (the repair set), repairable while no delete intervened.

@@ -154,7 +154,7 @@ class StreamingConnectivity {
   std::size_t components_;
   std::size_t forest_edges_ = 0;
   unsigned next_bank_ = 0;
-  L0Sampler cut_query_scratch_;  // reused merged sampler for deletions
+  BoundaryScratch cut_query_scratch_;  // reused cut-query buffers
   // Serve-heavy query cache: tree edges accepted since the last published
   // snapshot, repairable while no delete intervened.
   QueryCache query_cache_;

@@ -199,64 +199,52 @@ BankArena::StoreFootprint BankArena::store_footprint(unsigned store) const {
 void BankArena::merge_into(const L0Params& params,
                            std::span<const VertexId> vertices,
                            L0Sampler& out) const {
-  const std::uint32_t offsets[2] = {0,
-                                    static_cast<std::uint32_t>(vertices.size())};
-  merge_groups(params, vertices, std::span<const std::uint32_t>(offsets, 2),
-               std::span<L0Sampler>(&out, 1));
+  out.reset(params);
+  const std::uint32_t offsets[2] = {
+      0, static_cast<std::uint32_t>(vertices.size())};
+  const std::uint32_t walk[1] = {0};
+  const std::span<OneSparseCell> cells = out.mutable_cells(params);
+  for (unsigned j = 0; j < levels_; ++j) {
+    char touched = 0;
+    sum_level(j, vertices, offsets, walk,
+              cells.subspan(j * cells_per_level_, cells_per_level_),
+              std::span<char>(&touched, 1));
+    if (touched) out.set_active_levels(j + 1);
+  }
 }
 
-void BankArena::merge_groups(const L0Params& params,
-                             std::span<const VertexId> members,
-                             std::span<const std::uint32_t> offsets,
-                             std::span<L0Sampler> outs) const {
-  const std::size_t groups = outs.size();
-  SMPC_CHECK(offsets.size() == groups + 1);
+void BankArena::sum_level(unsigned level, std::span<const VertexId> members,
+                          std::span<const std::uint32_t> offsets,
+                          std::span<const std::uint32_t> walk,
+                          std::span<OneSparseCell> sums,
+                          std::span<char> touched) const {
+  SMPC_CHECK(level < levels_ && !offsets.empty());
+  const std::size_t groups = offsets.size() - 1;
   SMPC_CHECK(offsets[groups] == members.size());
-  for (L0Sampler& out : outs) out.reset(params);
-  // Hot store first (it mirrors levels 0..hot-1), then each overflow level:
-  // level-major order means every store is walked exactly once for all
-  // groups, and the active-level watermarks rise monotonically.
-  if (!hot_.page_of.empty()) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      OneSparseCell* dst = outs[g].mutable_cells(params).data();
-      bool touched = false;
-      for (std::uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
-        const VertexId v = members[i];
-        SMPC_CHECK(v < n_);
-        const std::uint32_t page = hot_.page_of[v];
-        if (page == kNoPage) continue;
-        const ArenaCell* cells =
-            hot_.cells.data() + static_cast<std::size_t>(page) * hot_cells_;
-        for (std::size_t c = 0; c < hot_cells_; ++c) {
-          dst[c].add_raw(cells[c].w, cells[c].s(), cells[c].fp);
-        }
-        touched = true;
-      }
-      if (touched) outs[g].set_active_levels(hot_levels_);
-    }
-  }
-  for (unsigned j = hot_levels_; j < levels_; ++j) {
-    const Store& store = overflow_[j - hot_levels_];
-    if (store.page_of.empty()) continue;
-    for (std::size_t g = 0; g < groups; ++g) {
-      OneSparseCell* dst =
-          outs[g].mutable_cells(params).data() + j * cells_per_level_;
-      bool touched = false;
+  SMPC_CHECK(sums.size() >= groups * cells_per_level_ &&
+             touched.size() >= groups);
+  const LevelSlot slot = level_slot(level);
+  const Store& store = *slot.store;
+  for (const std::uint32_t g : walk) {
+    SMPC_CHECK(g < groups);
+    OneSparseCell* dst = sums.data() + g * cells_per_level_;
+    std::fill(dst, dst + cells_per_level_, OneSparseCell{});
+    bool any = false;
+    if (!store.page_of.empty()) {
       for (std::uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
         const VertexId v = members[i];
         SMPC_CHECK(v < n_);
         const std::uint32_t page = store.page_of[v];
         if (page == kNoPage) continue;
         const ArenaCell* cells = store.cells.data() +
-                                 static_cast<std::size_t>(page) *
-                                     cells_per_level_;
-        for (std::size_t c = 0; c < cells_per_level_; ++c) {
+                                 static_cast<std::size_t>(page) * slot.page_cells +
+                                 slot.within;
+        for (std::size_t c = 0; c < cells_per_level_; ++c)
           dst[c].add_raw(cells[c].w, cells[c].s(), cells[c].fp);
-        }
-        touched = true;
+        any = true;
       }
-      if (touched) outs[g].set_active_levels(j + 1);
     }
+    touched[g] = any ? 1 : 0;
   }
 }
 
@@ -331,18 +319,22 @@ std::uint64_t BankArena::allocated_words() const {
   return words;
 }
 
+BankArena::LevelSlot BankArena::level_slot(unsigned level) const {
+  // Levels 0..hot-1 live inside the hot page; deeper levels have a store
+  // (and page) each.
+  if (level < hot_levels_) return {&hot_, hot_cells_, level * cells_per_level_};
+  return {&overflow_[level - hot_levels_], cells_per_level_, 0};
+}
+
 std::span<const ArenaCell> BankArena::level_records(unsigned level,
                                                     VertexId v) const {
   SMPC_CHECK(level < levels_ && v < n_);
-  const Store& store =
-      level < hot_levels_ ? hot_ : overflow_[level - hot_levels_];
+  const LevelSlot slot = level_slot(level);
+  const Store& store = *slot.store;
   if (store.page_of.empty() || store.page_of[v] == kNoPage) return {};
-  const std::size_t page_cells =
-      level < hot_levels_ ? hot_cells_ : cells_per_level_;
-  const std::size_t within =
-      level < hot_levels_ ? level * cells_per_level_ : 0;
   return {store.cells.data() +
-              static_cast<std::size_t>(store.page_of[v]) * page_cells + within,
+              static_cast<std::size_t>(store.page_of[v]) * slot.page_cells +
+              slot.within,
           cells_per_level_};
 }
 

@@ -162,26 +162,28 @@ class BankArena {
   void rollback_pages();
   void snapshot_commit();
 
-  // Element-wise sum of the vertices' cells into `out` (Lemma 3.5's S_A).
-  // Resets `out` first and reuses its buffer — no allocation after the
-  // first call with the same scratch sampler.
+  // Element-wise sum of the vertices' cells into `out` (Lemma 3.5's S_A):
+  // sum_level over every level, for one group.  Resets `out` first and
+  // reuses its buffer — no allocation after the first call with the same
+  // scratch sampler.
   void merge_into(const L0Params& params, std::span<const VertexId> vertices,
                   L0Sampler& out) const;
 
-  // Multi-set merge: merges several vertex groups at once, one *level store*
-  // at a time — the outer loop walks the hot store and then each overflow
-  // level, and within a store all groups are resolved together, so one
-  // Boruvka level's worth of groups costs one pass over the arena instead
-  // of one arena walk per group (untouched deep levels are skipped once for
-  // everybody, and each store's page map and cell records stay
-  // cache-resident across groups).  `members` concatenates the groups'
-  // vertex lists; `offsets` is the CSR boundary array (offsets.size() ==
-  // outs.size() + 1, offsets.back() == members.size()).  Each outs[g] is
-  // reset first and its buffer reused.  Cell sums commute, so the result
-  // equals merge_into per group exactly.
-  void merge_groups(const L0Params& params, std::span<const VertexId> members,
-                    std::span<const std::uint32_t> offsets,
-                    std::span<L0Sampler> outs) const;
+  // The per-level group walker every sketch read goes through (merge_into
+  // and VertexSketches::sample_boundaries).  `members` concatenates the
+  // groups' vertex lists and `offsets` is the CSR boundary array (group g
+  // = members[offsets[g] .. offsets[g+1])).  For each group g named in
+  // `walk`, writes the sum of level `level` of its members' cells to
+  // sums[g * cells_per_level ..] (cells_per_level cells, zero when no
+  // member owns a page there) and sets touched[g] to whether any member
+  // owns a page at that level.  An untouched level of a group is zero.
+  // Only the listed groups are read or written, so a caller walking the
+  // levels top-down can drop a group as soon as it has what it needs.
+  // Cell sums commute, so the sums equal any other summation order.
+  void sum_level(unsigned level, std::span<const VertexId> members,
+                 std::span<const std::uint32_t> offsets,
+                 std::span<const std::uint32_t> walk,
+                 std::span<OneSparseCell> sums, std::span<char> touched) const;
 
   // Copy of one vertex's sampler (zero sampler if the vertex is untouched).
   L0Sampler extract(const L0Params& params, VertexId v) const;
@@ -301,6 +303,15 @@ class BankArena {
     std::vector<ArenaCell> saved_cells;      // images, `cells` records/page
     std::vector<VertexId> fresh_candidates;  // had no page at snapshot time
   };
+
+  // Where level `level` lives: its store, the records per page there, and
+  // the level's first record within a page.
+  struct LevelSlot {
+    const Store* store;
+    std::size_t page_cells;
+    std::size_t within;
+  };
+  LevelSlot level_slot(unsigned level) const;
 
   std::uint32_t page_for(Store& store, VertexId v, std::size_t cells);
   Store& overflow_store(unsigned level);

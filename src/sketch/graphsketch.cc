@@ -316,30 +316,100 @@ std::optional<Edge> VertexSketches::decode_sample(unsigned bank,
 
 std::optional<Edge> VertexSketches::sample_boundary(
     unsigned bank, std::span<const VertexId> vertices,
-    L0Sampler& scratch) const {
-  merged_into(bank, vertices, scratch);
-  return decode_sample(bank, scratch);
+    BoundaryScratch& scratch) const {
+  const std::uint32_t offsets[2] = {
+      0, static_cast<std::uint32_t>(vertices.size())};
+  return sample_boundaries(bank, vertices, offsets, {}, scratch).front();
 }
 
 std::optional<Edge> VertexSketches::sample_boundary(
     unsigned bank, std::span<const VertexId> vertices) const {
-  L0Sampler scratch;
+  BoundaryScratch scratch;
   return sample_boundary(bank, vertices, scratch);
 }
 
-void VertexSketches::sample_boundaries(
+std::span<const std::optional<Edge>> VertexSketches::sample_boundaries(
     unsigned bank, std::span<const VertexId> members,
-    std::span<const std::uint32_t> offsets, std::vector<L0Sampler>& scratch,
-    std::vector<std::optional<Edge>>& out) const {
+    std::span<const std::uint32_t> offsets,
+    std::span<const std::uint32_t> complement,
+    BoundaryScratch& scratch) const {
   SMPC_CHECK(bank < banks());
   SMPC_CHECK(!offsets.empty());
   const std::size_t groups = offsets.size() - 1;
-  if (scratch.size() < groups) scratch.resize(groups);
-  out.resize(groups);
-  arenas_[bank].merge_groups(params_[bank], members, offsets,
-                             std::span<L0Sampler>(scratch.data(), groups));
-  for (std::size_t g = 0; g < groups; ++g)
-    out[g] = decode_sample(bank, scratch[g]);
+  SMPC_CHECK(complement.empty() || complement.size() == groups);
+  const L0Params& params = params_[bank];
+  const BankArena& arena = arenas_[bank];
+  const std::size_t cells = params.cells_per_level();
+  if (scratch.sums.size() < groups * cells) scratch.sums.resize(groups * cells);
+  scratch.touched.assign(groups, 0);
+  scratch.done.assign(groups, 0);
+  scratch.out.assign(groups, std::nullopt);
+  std::vector<char>& done = scratch.done;
+  std::vector<char>& touched = scratch.touched;
+  const auto is_complement = [&](std::uint32_t g) {
+    return !complement.empty() && complement[g] == g;
+  };
+  // A complement group is summed from the groups naming it, never from
+  // the arena; one that nobody names is the zero sampler, done at once.
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    if (!is_complement(g)) continue;
+    SMPC_CHECK_MSG(offsets[g] == offsets[g + 1],
+                   "a complement group has no members of its own");
+    done[g] = 1;
+  }
+  scratch.walk.clear();
+  scratch.open.clear();
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    if (is_complement(g)) continue;
+    scratch.walk.push_back(g);
+    if (complement.empty()) continue;
+    const std::uint32_t c = complement[g];
+    SMPC_CHECK_MSG(c < groups && complement[c] == c,
+                   "a complement map must name complement groups");
+    if (done[c]) {
+      done[c] = 0;
+      scratch.open.push_back(c);
+    }
+  }
+  std::size_t pending = scratch.walk.size() + scratch.open.size();
+  // Sparsest level first; each level sums only what an open answer needs.
+  for (unsigned j = params.levels(); j-- > 0 && pending > 0;) {
+    arena.sum_level(j, members, offsets, scratch.walk, scratch.sums, touched);
+    for (const std::uint32_t c : scratch.open) {
+      std::fill(scratch.sums.begin() + c * cells,
+                scratch.sums.begin() + (c + 1) * cells, OneSparseCell{});
+      touched[c] = 0;
+    }
+    if (!scratch.open.empty()) {
+      for (const std::uint32_t g : scratch.walk) {
+        const std::uint32_t c = complement[g];
+        if (done[c] || !touched[g]) continue;
+        for (std::size_t i = 0; i < cells; ++i)
+          scratch.sums[c * cells + i].merge(scratch.sums[g * cells + i]);
+        touched[c] = 1;
+      }
+    }
+    // Recover level j of every undecoded group it can be nonzero for.
+    const auto recover = [&](std::uint32_t g) {
+      if (done[g] || !touched[g]) return;
+      const auto r = L0Sampler::sample_level(
+          params, j,
+          std::span<const OneSparseCell>(scratch.sums.data() + g * cells,
+                                         cells));
+      if (!r) return;
+      scratch.out[g] = codec_.decode(r->coord);
+      done[g] = 1;
+      --pending;
+    };
+    for (const std::uint32_t g : scratch.walk) recover(g);
+    for (const std::uint32_t c : scratch.open) recover(c);
+    // Drop what no open answer reads any more.
+    std::erase_if(scratch.walk, [&](std::uint32_t g) {
+      return done[g] && (complement.empty() || done[complement[g]]);
+    });
+    std::erase_if(scratch.open, [&](std::uint32_t c) { return done[c]; });
+  }
+  return scratch.out;
 }
 
 std::uint64_t VertexSketches::allocated_words() const {

@@ -22,8 +22,10 @@
 //     (ingest_cell).  A flat batch is simply the 1-machine grid.  Cells
 //     share no mutable state after preparation, so any thread count and
 //     any schedule gives bit-identical sketches;
-//   * merged()/sample_boundary() take an optional scratch sampler so
-//     delete-time cut queries stop allocating per call.
+//   * every boundary query — one vertex set or a whole Boruvka level of
+//     groups — walks the arena top-down, one level at a time, and stops
+//     summing a group at the first level that decodes (sample_boundaries);
+//     its buffers live in a reusable BoundaryScratch.
 #pragma once
 
 #include <algorithm>
@@ -60,6 +62,19 @@ struct GraphSketchConfig {
   // Worker threads for batched ingest: 0 = auto (min(hardware, banks)),
   // 1 = serial.  The sketch contents never depend on this value.
   unsigned ingest_threads = 0;
+};
+
+// Reusable buffers of the top-down boundary query (sample_boundaries):
+// one level's cell sums and flags per group, plus the groups still being
+// walked.  Grown on demand, never shrunk; no allocation once a caller's
+// group count has been seen.
+struct BoundaryScratch {
+  std::vector<OneSparseCell> sums;       // [group * cells_per_level + cell]
+  std::vector<char> touched;             // [group] level may be nonzero
+  std::vector<char> done;                // [group] answer final
+  std::vector<std::uint32_t> walk;       // groups summed from the arena
+  std::vector<std::uint32_t> open;       // complement groups not yet done
+  std::vector<std::optional<Edge>> out;  // [group] the answers
 };
 
 class VertexSketches {
@@ -213,26 +228,44 @@ class VertexSketches {
                    L0Sampler& out) const;
 
   // Samples a boundary edge of the vertex set from bank `bank`; nullopt if
-  // the boundary is (w.h.p.) empty or the sampler failed.  The scratch
-  // overload avoids allocating a fresh merged sampler per query.
+  // the boundary is (w.h.p.) empty or the sampler failed.  The one-group
+  // case of sample_boundaries; the scratch overload reuses its buffers.
+  // Identical to decode_sample(bank, merged(bank, vertices)).
   std::optional<Edge> sample_boundary(unsigned bank,
                                       std::span<const VertexId> vertices) const;
   std::optional<Edge> sample_boundary(unsigned bank,
                                       std::span<const VertexId> vertices,
-                                      L0Sampler& scratch) const;
+                                      BoundaryScratch& scratch) const;
 
   // Batched group queries (the Boruvka inner loop): `members` is the
   // concatenation of every group's vertex list, `offsets` the CSR group
-  // boundaries ([group g] = members[offsets[g]..offsets[g+1])).  Merges
-  // bank `bank` over all groups in ONE level-at-a-time pass over the arena
-  // (each level store is scanned once for every group together, instead of
-  // once per group) and decodes one boundary-edge sample per group into
-  // out[g].  `scratch` samplers are grown and reused across calls.
-  // Results are identical to calling sample_boundary per group.
-  void sample_boundaries(unsigned bank, std::span<const VertexId> members,
-                         std::span<const std::uint32_t> offsets,
-                         std::vector<L0Sampler>& scratch,
-                         std::vector<std::optional<Edge>>& out) const;
+  // boundaries ([group g] = members[offsets[g]..offsets[g+1])).  Returns
+  // one boundary-edge sample per group from bank `bank`, held in
+  // scratch.out until the next call.
+  //
+  // Top-down and lazy: for levels j = L-1 .. 0 it sums only level j of
+  // the groups still open (BankArena::sum_level) and tries to recover
+  // level j of each undecoded group, skipping levels no member owns a
+  // page at (they are zero).  L0Sampler::sample() reads levels in the
+  // same order and never below the first one that recovers, so a group
+  // that recovers at level j gets exactly the sample its fully merged
+  // sampler would give, and its lower levels are never summed.
+  //
+  // `complement` is empty, or names per group the group whose sketch is
+  // minus the sum of the groups naming it: complement[g] == g marks such a
+  // *complement group*, which must have no members.  Inside a vertex set
+  // with no boundary edges (DynamicConnectivity's pre-cut tree) the
+  // largest group's sketch is the negated sum of its siblings', and a
+  // negated sampler decodes to the same edge, so that group is never
+  // walked: its level j is the sum of its siblings' level j.  A sibling is
+  // therefore walked while it OR its complement group is undecoded.  A
+  // complement group that no group names is the zero sampler: nullopt,
+  // without walking anything.
+  std::span<const std::optional<Edge>> sample_boundaries(
+      unsigned bank, std::span<const VertexId> members,
+      std::span<const std::uint32_t> offsets,
+      std::span<const std::uint32_t> complement,
+      BoundaryScratch& scratch) const;
 
   // Decodes a sampler's output into an edge.
   std::optional<Edge> decode_sample(unsigned bank, const L0Sampler& s) const;

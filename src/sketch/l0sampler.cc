@@ -130,23 +130,34 @@ std::optional<OneSparseResult> L0Sampler::sample(const L0Params& params) const {
   // the watermark are all-zero and recover nothing, exactly like the
   // seed's unallocated levels.
   for (unsigned j = active_levels_; j-- > 0;) {
-    const auto recovered = recover_cells(
-        params.level_params(j),
-        std::span<const OneSparseCell>(cells_.data() + j * cells_per_level_,
-                                       cells_per_level_));
-    if (recovered.empty()) continue;
-    const OneSparseResult* best = &recovered.front();
-    std::uint64_t best_rank = params.rank_of(best->coord);
-    for (const auto& r : recovered) {
-      const std::uint64_t rank = params.rank_of(r.coord);
-      if (rank < best_rank) {
-        best_rank = rank;
-        best = &r;
-      }
-    }
-    return *best;
+    if (auto r = sample_level(
+            params, j,
+            std::span<const OneSparseCell>(cells_.data() + j * cells_per_level_,
+                                           cells_per_level_)))
+      return r;
   }
   return std::nullopt;
+}
+
+std::optional<OneSparseResult> L0Sampler::sample_level(
+    const L0Params& params, unsigned level,
+    std::span<const OneSparseCell> cells) {
+  SMPC_CHECK(level < params.levels() &&
+             cells.size() == params.cells_per_level());
+  const auto recovered = recover_cells(params.level_params(level), cells);
+  if (recovered.empty()) return std::nullopt;
+  // Min-wise selection: the recovered coordinate of least rank (ties to
+  // the smallest coordinate — recover_cells returns them sorted).
+  const OneSparseResult* best = &recovered.front();
+  std::uint64_t best_rank = params.rank_of(best->coord);
+  for (const auto& r : recovered) {
+    const std::uint64_t rank = params.rank_of(r.coord);
+    if (rank < best_rank) {
+      best_rank = rank;
+      best = &r;
+    }
+  }
+  return *best;
 }
 
 std::uint64_t L0Sampler::words() const {

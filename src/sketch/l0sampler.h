@@ -107,6 +107,17 @@ class L0Sampler {
   // per sampler; callers keep O(log n) independent banks (§6.3).
   std::optional<OneSparseResult> sample(const L0Params& params) const;
 
+  // One step of sample(): recovers level `level` from its cells_per_level
+  // cells alone and returns the min-rank recovered element, or nullopt
+  // when the level recovers nothing.  sample() runs this step from the
+  // sparsest active level down and stops at the first hit, so a level's
+  // answer never depends on the levels below it — which is what lets the
+  // top-down group query (VertexSketches::sample_boundaries) stop summing
+  // a vertex set's sketch at the first level that decodes.
+  static std::optional<OneSparseResult> sample_level(
+      const L0Params& params, unsigned level,
+      std::span<const OneSparseCell> cells);
+
   bool allocated() const { return !cells_.empty(); }
 
   // Levels 0..active_levels()-1 may hold nonzero cells; everything above

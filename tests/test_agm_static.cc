@@ -104,5 +104,42 @@ TEST(AgmStatic, MemoryMatchesMaintainedStructure) {
                 agm.sketches().nominal_words_per_vertex());
 }
 
+TEST(AgmStatic, SpanningForestIsPinnedOnSeededChurn) {
+  // The top-down Boruvka query must not move any sampled edge: the forest,
+  // component count and level count of every query on this seeded churn
+  // stream are pinned to the values of the full-merge sampler it replaced.
+  const VertexId n = 128;
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.initial_edges = 300;
+  opt.num_batches = 16;
+  opt.batch_size = 40;
+  opt.delete_fraction = 0.55;
+  Rng rng(5151);
+  const auto batches = gen::churn_stream(opt, rng);
+  AgmStaticConnectivity agm(n, sketch_config(n, 5152));
+  AdjGraph ref(n);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over every answer
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  };
+  std::uint64_t levels = 0;
+  for (const auto& b : batches) {
+    agm.apply_batch(b);
+    ref.apply(b);
+    const auto r = agm.query_spanning_forest();
+    EXPECT_EQ(r.components, num_components(ref));
+    for (const Edge& e : r.forest) {
+      mix(e.u);
+      mix(e.v);
+    }
+    mix(r.components);
+    levels += r.levels;
+  }
+  EXPECT_EQ(h, 0x15e2c03b38dd17ceULL);
+  EXPECT_EQ(levels, 106u);
+}
+
 }  // namespace
 }  // namespace streammpc

@@ -104,6 +104,7 @@ TEST(BatchedIngest, MergedScratchReuseMatchesFreshMerge) {
   vs.update_edges(random_deltas(n, 300, 9));
 
   L0Sampler scratch;  // reused across banks and sets on purpose
+  BoundaryScratch boundary;
   for (unsigned bank = 0; bank < cfg.banks; ++bank) {
     for (const auto& set : probe_sets(n, 10 + bank)) {
       const std::span<const VertexId> span(set.data(), set.size());
@@ -117,7 +118,8 @@ TEST(BatchedIngest, MergedScratchReuseMatchesFreshMerge) {
         EXPECT_EQ(r->weight, s->weight);
       }
       EXPECT_EQ(vs.sample_boundary(bank, span),
-                vs.sample_boundary(bank, span, scratch));
+                vs.sample_boundary(bank, span, boundary));
+      EXPECT_EQ(vs.sample_boundary(bank, span), vs.decode_sample(bank, fresh));
     }
   }
 }
@@ -202,7 +204,7 @@ TEST(RoutedIngest, ByteIdenticalToFlatAcrossMachineCounts) {
 }
 
 TEST(GroupQueries, SampleBoundariesMatchesPerGroupQueries) {
-  // The level-at-a-time multi-set merge must answer exactly like one
+  // The top-down multi-group query must answer exactly like one full
   // merged_into walk per group.
   const VertexId n = 128;
   GraphSketchConfig cfg;
@@ -222,14 +224,14 @@ TEST(GroupQueries, SampleBoundariesMatchesPerGroupQueries) {
     offsets.push_back(static_cast<std::uint32_t>(members.size()));
   }
 
-  std::vector<L0Sampler> scratch;
-  std::vector<std::optional<Edge>> batched;
+  BoundaryScratch scratch;
   for (unsigned bank = 0; bank < cfg.banks; ++bank) {
-    vs.sample_boundaries(bank, members, offsets, scratch, batched);
+    const auto batched =
+        vs.sample_boundaries(bank, members, offsets, {}, scratch);
     ASSERT_EQ(batched.size(), groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const std::span<const VertexId> span(groups[g].data(), groups[g].size());
-      EXPECT_EQ(batched[g], vs.sample_boundary(bank, span))
+      EXPECT_EQ(batched[g], vs.decode_sample(bank, vs.merged(bank, span)))
           << "bank " << bank << " group " << g;
     }
   }
@@ -280,6 +282,159 @@ TEST(GroupQueries, ComplementSampleMatchesDirectSample) {
     }
   }
   EXPECT_GT(nonempty, 100u);  // the identity was exercised, not vacuous
+}
+
+TEST(GroupQueries, TopDownSampleBoundariesMatchFullMergeOracle) {
+  // The top-down query stops summing a group at the first level that
+  // decodes and sums a complement group from its siblings level by level;
+  // in every bank it must return exactly the edge the fully merged sampler
+  // decodes (merged_into + sample()).  Covered: random groups whose
+  // members own overflow pages, trees answered through a complement
+  // group, single-group trees, empty groups and groups whose sum is zero.
+  const VertexId block = 40;
+  const VertexId blocks = 5;
+  const VertexId n = block * blocks;
+  GraphSketchConfig cfg;
+  cfg.banks = 8;
+  cfg.seed = 70707;
+  VertexSketches vs(n, cfg);
+  Rng rng(70708);
+  // Edges never cross blocks, so every block is a union of components
+  // and sums to zero.  A third of the inserts are deleted again, so the
+  // cells carry both signs.
+  std::vector<EdgeDelta> deltas;
+  for (VertexId b = 0; b < blocks; ++b) {
+    for (int i = 0; i < 150; ++i) {
+      const VertexId u = static_cast<VertexId>(rng.below(block));
+      VertexId v = static_cast<VertexId>(rng.below(block - 1));
+      if (v >= u) ++v;
+      deltas.push_back(EdgeDelta{make_edge(b * block + u, b * block + v), +1});
+    }
+  }
+  const std::size_t inserts = deltas.size();
+  for (std::size_t i = 0; i < inserts; i += 3)
+    deltas.push_back(EdgeDelta{deltas[i].e, -1});
+  vs.update_edges(deltas);
+  std::size_t deep = 0;  // members with pages in an overflow level
+  for (VertexId v = 0; v < n; ++v)
+    deep += vs.arena(0).level_records(2, v).empty() ? 0 : 1;
+  ASSERT_GT(deep, n / 4);
+
+  struct Group {
+    std::vector<VertexId> vertices;  // empty for a complement group
+    std::uint32_t complement = 0;    // index into the shuffled order
+  };
+  const auto oracle = [&](unsigned bank, const std::vector<VertexId>& set) {
+    L0Sampler full;
+    vs.merged_into(bank, set, full);
+    return vs.decode_sample(bank, full);
+  };
+  BoundaryScratch scratch;  // reused across calls, banks and shapes
+  std::size_t answered = 0;
+  std::size_t complement_answered = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    // --- trees: each block is one tree with a complement group -----------
+    std::vector<std::vector<VertexId>> tree_groups;  // [0] = complement
+    std::vector<std::uint32_t> tree_of;
+    for (VertexId b = 0; b < blocks; ++b) {
+      const std::uint64_t shape = rng.below(4);
+      const std::size_t first = tree_groups.size();
+      tree_groups.emplace_back();  // the complement group
+      tree_of.push_back(static_cast<std::uint32_t>(first));
+      if (shape == 0) continue;  // single-group tree: zero sampler
+      if (shape == 1) {
+        // One sibling holding the whole block: both sums are zero.
+        std::vector<VertexId> all;
+        for (VertexId v = b * block; v < (b + 1) * block; ++v) all.push_back(v);
+        tree_groups.push_back(all);
+        tree_of.push_back(static_cast<std::uint32_t>(first));
+        continue;
+      }
+      // 2..5 siblings with skewed shares, some empty, some singletons.
+      const std::size_t siblings = 2 + rng.below(4);
+      for (std::size_t k = 0; k < siblings; ++k) {
+        tree_groups.emplace_back();
+        tree_of.push_back(static_cast<std::uint32_t>(first));
+      }
+      const double own = rng.uniform01();  // share left to the complement
+      for (VertexId v = b * block; v < (b + 1) * block; ++v) {
+        if (rng.chance(own)) continue;
+        const std::size_t k = rng.chance(0.5) ? 1 : 1 + rng.below(siblings);
+        tree_groups[first + k].push_back(v);
+      }
+    }
+    // Shuffle the group order so complement groups sit anywhere.
+    std::vector<std::uint32_t> order(tree_groups.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    shuffle(order, rng);
+    std::vector<std::uint32_t> position(order.size());
+    for (std::uint32_t p = 0; p < order.size(); ++p) position[order[p]] = p;
+    std::vector<VertexId> members;
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> complement;
+    for (const std::uint32_t i : order) {
+      members.insert(members.end(), tree_groups[i].begin(),
+                     tree_groups[i].end());
+      offsets.push_back(static_cast<std::uint32_t>(members.size()));
+      complement.push_back(position[tree_of[i]]);
+    }
+    for (unsigned bank = 0; bank < cfg.banks; ++bank) {
+      const auto got =
+          vs.sample_boundaries(bank, members, offsets, complement, scratch);
+      ASSERT_EQ(got.size(), order.size());
+      for (std::uint32_t p = 0; p < order.size(); ++p) {
+        const std::uint32_t i = order[p];
+        std::vector<VertexId> set = tree_groups[i];
+        if (tree_of[i] == i) {  // complement: the union of its siblings
+          for (std::uint32_t k = 0; k < tree_groups.size(); ++k)
+            if (tree_of[k] == i && k != i)
+              set.insert(set.end(), tree_groups[k].begin(),
+                         tree_groups[k].end());
+        }
+        const auto want = oracle(bank, set);
+        ASSERT_EQ(got[p], want) << "trial " << trial << " bank " << bank
+                                << " tree group " << p;
+        if (want) {
+          ++answered;
+          if (tree_of[i] == i) ++complement_answered;
+        }
+      }
+    }
+
+    // --- plain groups: no complement map ---------------------------------
+    std::vector<std::vector<VertexId>> plain(12);
+    for (VertexId v = 0; v < n; ++v) {
+      if (v < block) {
+        plain[0].push_back(v);  // a whole block: sums to zero
+      } else if (rng.chance(0.1)) {
+        plain.push_back({v});  // singleton: small boundary, decodes low
+      } else {
+        plain[1 + rng.below(10)].push_back(v);
+      }
+    }
+    // plain[11] stays empty.
+    members.clear();
+    offsets.assign(1, 0);
+    for (const auto& g : plain) {
+      members.insert(members.end(), g.begin(), g.end());
+      offsets.push_back(static_cast<std::uint32_t>(members.size()));
+    }
+    for (unsigned bank = 0; bank < cfg.banks; ++bank) {
+      const auto got = vs.sample_boundaries(bank, members, offsets, {}, scratch);
+      ASSERT_EQ(got.size(), plain.size());
+      for (std::size_t g = 0; g < plain.size(); ++g) {
+        const auto want = oracle(bank, plain[g]);
+        ASSERT_EQ(got[g], want)
+            << "trial " << trial << " bank " << bank << " plain group " << g;
+        if (want) ++answered;
+      }
+      EXPECT_FALSE(got[0].has_value());
+      EXPECT_FALSE(got[11].has_value());
+    }
+  }
+  // The comparison was exercised, not vacuous.
+  EXPECT_GT(answered, 2000u);
+  EXPECT_GT(complement_answered, 100u);
 }
 
 TEST(StreamingIngest, RoutedStreamMatchesUnrouted) {

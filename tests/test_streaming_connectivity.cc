@@ -173,5 +173,43 @@ TEST(StreamingConnectivity, RejectsInvalidDeletes) {
   EXPECT_THROW(sc.erase(2, 3), CheckError);
 }
 
+TEST(StreamingConnectivity, ReplacementChoicesArePinnedOnSeededChurn) {
+  // Cut queries go through the top-down group sampler; the forest and
+  // labels after every batch of this seeded churn stream, and the
+  // replacement counters, are pinned to the values of the full-merge
+  // sampler it replaced.
+  const VertexId n = 96;
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.initial_edges = 260;
+  opt.num_batches = 30;
+  opt.batch_size = 24;
+  opt.delete_fraction = 0.6;
+  Rng rng(6161);
+  const auto batches = gen::churn_stream(opt, rng);
+  StreamingConnectivity sc(n, sketch_config(6162));
+  AdjGraph ref(n);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  };
+  for (const auto& b : batches) {
+    sc.apply_stream(std::span<const Update>(b.data(), b.size()));
+    ref.apply(b);
+    for (const Edge& e : sc.spanning_forest()) {
+      mix(e.u);
+      mix(e.v);
+    }
+    for (const VertexId label : sc.labels()) mix(label);
+  }
+  expect_matches(sc, ref, "pinned churn");
+  const auto& s = sc.stats();
+  EXPECT_EQ(h, 0xa3f4880419c66dc6ULL);
+  EXPECT_EQ(s.replacements_found, 193u);
+  EXPECT_EQ(s.splits, 26u);
+  EXPECT_EQ(s.tree_deletes, 219u);
+}
+
 }  // namespace
 }  // namespace streammpc
