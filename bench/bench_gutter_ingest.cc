@@ -4,14 +4,14 @@
 // The serve-heavy regime receives millions of tiny updates, most of them
 // churn — the same edges toggling on and off.  A front end with MPC
 // accounting attached applies each one synchronously as one full
-// routed_ingest: route_batch, a CommLedger round, a machines x banks grid
-// walk, and a full per-bank hash plan, per delta.  The gutter front door
+// IngestPath::deliver: route_batch, a CommLedger round, a machines x banks
+// grid walk, and a full per-bank hash plan, per delta.  The gutter front door
 // buffers deltas per vertex block and drains full gutters as one batch,
 // so the per-update overhead is amortized over gutter_capacity deltas and
 // — the big lever on churn — same-edge deltas inside one drain coalesce
 // to their net weight before any hashing (exact, by cell linearity; see
 // DeltaSketch::accumulate).  Sections:
-//   * per-update synchronous baseline — one routed_ingest call per delta
+//   * per-update synchronous baseline — one IngestPath::deliver per delta
 //     against the cluster (the regime the ISSUE gates against), on
 //     >= 10^6 updates of a churn-heavy stream;
 //   * gutter pipeline — the same stream submitted through GutterIngest in
@@ -39,6 +39,7 @@
 #include "common/table.h"
 #include "graph/types.h"
 #include "ingest/gutter_ingest.h"
+#include "ingest/ingest_runtime.h"
 #include "mpc/cluster.h"
 #include "sketch/graphsketch.h"
 
@@ -152,11 +153,14 @@ int run(const GutterBenchConfig& cfg) {
   const auto per_update_routed = [&](std::span<const EdgeDelta> deltas) {
     VertexSketches vs(cfg.n, sketch);
     mpc::Cluster cluster(mpc_cfg);
+    const IngestPath path{cfg.n, &cluster, mpc::ExecMode::kRouted,
+                          /*scheduler=*/nullptr};
+    const IngestTarget target = sketch_target(vs, /*simulator=*/nullptr);
     mpc::RoutedBatch routed;
     bench::Timer t;
     for (const EdgeDelta& d : deltas)
-      routed_ingest(&cluster, cfg.n, std::span<const EdgeDelta>(&d, 1),
-                    "bench/ingest", vs, routed);
+      path.deliver(std::span<const EdgeDelta>(&d, 1), "bench/ingest", target,
+                   routed);
     return ops_per_sec(deltas.size(), t.seconds());
   };
   struct GutterRun {
@@ -194,7 +198,7 @@ int run(const GutterBenchConfig& cfg) {
   const double base_ops = per_update_routed(churn);
   table.add_row()
       .cell("churn")
-      .cell("per-update routed_ingest")
+      .cell("per-update routed deliver")
       .cell(base_ops)
       .cell(1.0);
   json.set("per_update.ops_per_sec", base_ops);
@@ -218,7 +222,7 @@ int run(const GutterBenchConfig& cfg) {
   const double uniform_base_ops = per_update_routed(uniform);
   table.add_row()
       .cell("uniform")
-      .cell("per-update routed_ingest")
+      .cell("per-update routed deliver")
       .cell(uniform_base_ops)
       .cell(uniform_base_ops / base_ops);
   json.set("uniform_per_update.ops_per_sec", uniform_base_ops);

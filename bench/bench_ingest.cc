@@ -12,8 +12,9 @@
 //     through the buffered apply_stream path (§4.2), routed on a cluster;
 //   * the per-delivery resident fold (VertexSketches::resident_fold, the
 //     Simulator's resident + delivered budget probe) on a power-law
-//     insert stream, timed against the O(n) page-map scan it replaced and
-//     checked word for word against it after every batch.
+//     insert stream, timed against the O(n) page-map scan it replaced
+//     (now tests/resident_oracle.h) and checked word for word against it
+//     after every batch.
 //
 // Emits the paper-style table on stdout and BENCH_ingest.json for the
 // cross-PR perf trajectory.  `--quick` shrinks the workload for CI smoke
@@ -30,12 +31,13 @@
 #include "graph/streams.h"
 #include "legacy_sketch_ref.h"
 #include "mpc/cluster.h"
+#include "resident_oracle.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
 namespace {
 
-struct IngestConfig {
+struct IngestBenchConfig {
   VertexId n = 1 << 16;
   std::size_t edges = 1 << 15;
   std::size_t batch_size = 1 << 12;
@@ -53,7 +55,8 @@ double ops_per_sec(std::size_t ops, double seconds) {
 // maps over every machine's vertex block.  Only the two reads are timed.
 // The stream is replayed on fresh sketches five times and the median
 // trial's speedup is recorded, so one noisy trial cannot move the gate.
-void resident_fold_row(const IngestConfig& cfg, bench::BenchJson& json) {
+void resident_fold_row(const IngestBenchConfig& cfg,
+                       bench::BenchJson& json) {
   const VertexId n = 1 << 14;
   const std::uint64_t machines = 128;
   const std::size_t batch = 1024;
@@ -94,8 +97,9 @@ void resident_fold_row(const IngestConfig& cfg, bench::BenchJson& json) {
         const auto [first, last] = cluster.vertex_block(m, n);
         scan[m] = 0;
         for (unsigned b = 0; b < vs.banks(); ++b)
-          scan[m] += vs.arena(b).resident_words(static_cast<VertexId>(first),
-                                                static_cast<VertexId>(last));
+          scan[m] += test::resident_words(vs.arena(b),
+                                          static_cast<VertexId>(first),
+                                          static_cast<VertexId>(last));
       }
       trial.scan_s += scan_timer.seconds();
       exact = exact && std::equal(fold.begin(), fold.end(), scan.begin());
@@ -125,7 +129,7 @@ void resident_fold_row(const IngestConfig& cfg, bench::BenchJson& json) {
   json.set("resident_fold.exact_ok", exact ? 1 : 0);
 }
 
-void run(const IngestConfig& cfg) {
+void run(const IngestBenchConfig& cfg) {
   bench::BenchJson json("ingest");
   json.set("config.n", static_cast<std::uint64_t>(cfg.n));
   json.set("config.edges", static_cast<std::uint64_t>(cfg.edges));
@@ -363,7 +367,7 @@ void run(const IngestConfig& cfg) {
 }  // namespace streammpc
 
 int main(int argc, char** argv) {
-  streammpc::IngestConfig cfg;
+  streammpc::IngestBenchConfig cfg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       cfg.n = 1 << 12;

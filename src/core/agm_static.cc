@@ -10,33 +10,16 @@ namespace streammpc {
 
 AgmStaticConnectivity::AgmStaticConnectivity(
     VertexId n, const GraphSketchConfig& sketch, mpc::Cluster* cluster,
-    mpc::ExecMode mode, const mpc::SchedulerConfig& scheduler,
-    mpc::FaultInjector* fault_injector)
-    : n_(n), cluster_(cluster), exec_mode_(mode), sketches_(n, sketch) {
-  if (cluster_ != nullptr && exec_mode_ == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(*cluster_);
-    if (fault_injector != nullptr)
-      simulator_->attach_fault_injector(fault_injector);
-    scheduler_ =
-        std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_, scheduler);
-  }
-}
-
-void AgmStaticConnectivity::enable_async_ingest(
-    const GutterIngestConfig& config) {
-  SMPC_CHECK_MSG(gutter_ == nullptr, "async ingest already enabled");
-  GutterIngestConfig gcfg = config;
-  if (gcfg.label == GutterIngestConfig{}.label)
-    gcfg.label = "agm/sketch-update";  // ledger parity with sync ingest
-  gutter_ = std::make_unique<GutterIngest>(n_, sketches_, gcfg, cluster_,
-                                           exec_mode_, simulator_.get(),
-                                           scheduler_.get());
-}
+    mpc::ExecMode mode, const std::optional<GutterIngestConfig>& async_ingest)
+    : n_(n),
+      cluster_(cluster),
+      sketches_(n, sketch),
+      ingest_(n, cluster, IngestConfig::of(mode, async_ingest), &sketches_,
+              "agm/sketch-update") {}
 
 void AgmStaticConnectivity::flush_ingest() {
-  if (gutter_ == nullptr) return;
   try {
-    gutter_->flush();
+    ingest_.flush();
   } catch (...) {
     poison_repair();
     throw;
@@ -47,16 +30,6 @@ void AgmStaticConnectivity::poison_repair() {
   repairable_ = false;
   pending_inserts_.clear();
   query_cache_.invalidate();
-}
-
-void AgmStaticConnectivity::ingest_deltas() {
-  if (gutter_ != nullptr) {
-    gutter_->submit(std::span<const EdgeDelta>(delta_scratch_));
-    return;
-  }
-  routed_ingest(cluster_, n_, delta_scratch_, "agm/sketch-update", sketches_,
-                routed_scratch_, exec_mode_, simulator_.get(),
-                scheduler_.get());
 }
 
 void AgmStaticConnectivity::note_update(const Update& update) {
@@ -86,7 +59,7 @@ void AgmStaticConnectivity::apply(const Update& update) {
   // not leave a phantom edge in the repair buffer — a later repair would
   // then disagree with a rebuild from the actual resident sketches.
   try {
-    ingest_deltas();
+    ingest_.submit(delta_scratch_);
   } catch (...) {
     poison_repair();
     throw;
@@ -104,7 +77,7 @@ void AgmStaticConnectivity::apply_batch(const Batch& batch) {
   // an unknowable subset of the deltas resident, so poison instead of
   // guessing which of the batch's edges are repair-safe.
   try {
-    ingest_deltas();
+    ingest_.submit(delta_scratch_);
   } catch (...) {
     poison_repair();
     throw;

@@ -14,15 +14,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/query_cache.h"
 #include "graph/types.h"
-#include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
+#include "ingest/ingest_runtime.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
@@ -31,15 +29,18 @@ class AgmStaticConnectivity {
  public:
   // `mode` selects how update batches execute against the cluster (flat /
   // routed-with-accounting / per-machine simulation); ignored when
-  // `cluster` is null.  `scheduler` opts the simulated mode into adaptive
-  // batch bisection (see mpc::BatchScheduler).  `fault_injector` (not
-  // owned, may be null) attaches a deterministic fault plan to the
-  // simulated executor (see mpc::FaultInjector).
-  AgmStaticConnectivity(VertexId n, const GraphSketchConfig& sketch,
-                        mpc::Cluster* cluster = nullptr,
-                        mpc::ExecMode mode = mpc::ExecMode::kRouted,
-                        const mpc::SchedulerConfig& scheduler = {},
-                        mpc::FaultInjector* fault_injector = nullptr);
+  // `cluster` is null.  The simulated mode's batch scheduler follows the
+  // SMPC_SCHED / SMPC_GROW env switches (SchedulerConfig's kAuto).
+  // `async_ingest` opts into the async front door (ingest/gutter_ingest.h):
+  // updates buffer in per-vertex-block gutters and drain through
+  // worker-built delta sketches, flushed automatically before every query;
+  // a default-constructed label becomes "agm/sketch-update" so ledger
+  // charges land exactly where direct ingest puts them.
+  AgmStaticConnectivity(
+      VertexId n, const GraphSketchConfig& sketch,
+      mpc::Cluster* cluster = nullptr,
+      mpc::ExecMode mode = mpc::ExecMode::kRouted,
+      const std::optional<GutterIngestConfig>& async_ingest = std::nullopt);
 
   VertexId n() const { return n_; }
 
@@ -49,14 +50,6 @@ class AgmStaticConnectivity {
   void apply(const Update& update);
   void apply_batch(const Batch& batch);
 
-  // Async ingest front door (ingest/gutter_ingest.h): after this, updates
-  // buffer in per-vertex-block gutters and drain through worker-built
-  // delta sketches; flushed automatically before every query.  A
-  // default-constructed label becomes "agm/sketch-update" so ledger
-  // charges land exactly where direct ingest puts them.
-  void enable_async_ingest(const GutterIngestConfig& config = {});
-  // Non-null once async ingest is enabled; exposes buffered()/stats().
-  const GutterIngest* gutter() const { return gutter_.get(); }
   // Drains buffered updates (no-op when async ingest is off).  A throwing
   // flush poisons the repair state: the next snapshot() rebuilds.
   void flush_ingest();
@@ -89,14 +82,12 @@ class AgmStaticConnectivity {
 
   std::uint64_t memory_words() const { return sketches_.allocated_words(); }
   const VertexSketches& sketches() const { return sketches_; }
-  // Non-null iff constructed with kSimulated mode and a cluster.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
-  // Non-null under the same condition (see BatchScheduler::enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  // The ingest runtime's pieces (see IngestRuntime).
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
+  const GutterIngest* gutter() const { return ingest_.gutter(); }
 
  private:
-  // Routes delta_scratch_ through the cluster when one is attached.
-  void ingest_deltas();
   // Folds one update into the repair buffer / repairability flag.  Called
   // only AFTER the update's delta was accepted for delivery: a rejected
   // update must never leave a phantom edge in the repair buffer.
@@ -107,12 +98,11 @@ class AgmStaticConnectivity {
 
   VertexId n_;
   mpc::Cluster* cluster_;
-  mpc::ExecMode exec_mode_;
-  std::unique_ptr<mpc::Simulator> simulator_;       // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;  // kSimulated mode only
   VertexSketches sketches_;
+  // Declared after the sketches: its destructor's gutter flush delivers
+  // into them.
+  IngestRuntime ingest_;
   std::vector<EdgeDelta> delta_scratch_;  // reused batch-ingest buffer
-  mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
   // Reused buffers for the top-down Boruvka queries.
   GroupCsr group_csr_;
   BoundaryScratch boundary_scratch_;
@@ -123,9 +113,6 @@ class AgmStaticConnectivity {
   QueryCache query_cache_;
   std::vector<Edge> pending_inserts_;
   bool repairable_ = true;
-  // Declared last: the destructor's implicit flush must run while the
-  // sketches/cluster/simulator/scheduler above are still alive.
-  std::unique_ptr<GutterIngest> gutter_;
 };
 
 }  // namespace streammpc

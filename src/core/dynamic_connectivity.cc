@@ -40,25 +40,9 @@ DynamicConnectivity::DynamicConnectivity(VertexId n,
       config_(config),
       cluster_(cluster),
       sketches_(n, config.sketch),
+      ingest_(n, cluster, config, &sketches_, "connectivity/sketch-update"),
       forest_(n, cluster),
       labels_(n) {
-  if (cluster_ != nullptr && config_.exec_mode == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(
-        *cluster_, config_.simulator_scratch_words);
-    if (config_.fault_injector != nullptr)
-      simulator_->attach_fault_injector(config_.fault_injector);
-    scheduler_ = std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_,
-                                                       config_.scheduler);
-  }
-  if (config_.async_ingest) {
-    GutterIngestConfig gcfg = config_.gutter;
-    if (gcfg.label == GutterIngestConfig{}.label)
-      gcfg.label = "connectivity/sketch-update";  // ledger parity with sync
-    gutter_ = std::make_unique<GutterIngest>(n_, sketches_, gcfg, cluster_,
-                                             config_.exec_mode,
-                                             simulator_.get(),
-                                             scheduler_.get());
-  }
   for (VertexId v = 0; v < n; ++v) labels_[v] = v;
   publish_usage();
 }
@@ -78,29 +62,9 @@ void DynamicConnectivity::apply_batch(const Batch& batch) {
   publish_usage();
 }
 
-void DynamicConnectivity::ingest_deltas(const std::string& label) {
-  if (gutter_ != nullptr) {
-    // Async front door: buffer the deltas; gutter drains deliver the same
-    // bytes through the same ExecPlan::run choke point, under the label
-    // fixed at construction (delivery may charge under a later phase than
-    // submission — flush_ingest() bounds that).
-    gutter_->submit(std::span<const EdgeDelta>(delta_scratch_));
-    return;
-  }
-  // Route the batch to the machines hosting the affected endpoint sketches
-  // (§6.1) and charge the actual per-machine delta loads — not a flat
-  // broadcast — on the cluster's CommLedger.  In kSimulated mode each
-  // machine's resident shard + delivered sub-batch is budgeted against s,
-  // with the batch scheduler bisecting over-budget batches when enabled.
-  routed_ingest(cluster_, n_, delta_scratch_, label, sketches_,
-                routed_scratch_, config_.exec_mode, simulator_.get(),
-                scheduler_.get());
-}
-
 void DynamicConnectivity::flush_ingest() {
-  if (gutter_ == nullptr) return;
   try {
-    gutter_->flush();
+    ingest_.flush();
   } catch (...) {
     // A failed delivery can leave the resident sketches partially updated
     // (strict-mode throw mid-flush); anything derived from the previous
@@ -118,7 +82,7 @@ void DynamicConnectivity::apply_inserts(const std::vector<Update>& ins) {
   // Sketch updates: one routed, batched, bank-parallel ingest.
   delta_scratch_.clear();
   for (const Update& u : ins) delta_scratch_.push_back(EdgeDelta{u.e, +1});
-  ingest_deltas("connectivity/sketch-update");
+  ingest_.submit(delta_scratch_);
 
   // Auxiliary graph H over affected components (Claim 6.1): one vertex per
   // component, one edge per insert joining two distinct components; its
@@ -175,7 +139,7 @@ void DynamicConnectivity::apply_deletes(const std::vector<Update>& del) {
 
   delta_scratch_.clear();
   for (const Update& u : del) delta_scratch_.push_back(EdgeDelta{u.e, -1});
-  ingest_deltas("connectivity/sketch-update");
+  ingest_.submit(delta_scratch_);
   // Replacement-edge sampling below reads the sketches: every buffered
   // delta (earlier insert batches included) must be resident first.
   flush_ingest();
@@ -363,7 +327,7 @@ void DynamicConnectivity::bootstrap(std::span<const Edge> edges) {
       touched.push_back(e.u);
     }
   }
-  ingest_deltas("connectivity/bootstrap");
+  ingest_.submit(delta_scratch_, "connectivity/bootstrap");
   stats_.tree_inserts += forest_edges.size();
   repair_links_.insert(repair_links_.end(), forest_edges.begin(),
                        forest_edges.end());

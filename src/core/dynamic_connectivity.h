@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -41,36 +40,17 @@
 #include "core/query_cache.h"
 #include "euler/tour_forest.h"
 #include "graph/types.h"
-#include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
+#include "ingest/ingest_runtime.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
 
-struct ConnectivityConfig {
+// The execution fields are the IngestConfig's.  An async gutter is flushed
+// before any sketch read (replacement-edge sampling, snapshot()) and by
+// flush_ingest(); labels/forest/queries never wait on it.
+struct ConnectivityConfig : IngestConfig {
   GraphSketchConfig sketch;
-  // How sketch-delta batches execute against the attached cluster: flat
-  // in-process, routed-with-accounting, or machine-by-machine simulation
-  // under per-machine scratch budgets (see mpc::ExecMode / mpc::Simulator).
-  // Ignored when no cluster is attached.
-  mpc::ExecMode exec_mode = mpc::ExecMode::kRouted;
-  // Adaptive batch scheduling (kSimulated mode only): when the split
-  // policy is active, over-budget update batches are deterministically
-  // bisected and retried instead of throwing MemoryBudgetExceeded (see
-  // mpc::BatchScheduler; default kAuto = the SMPC_SCHED env switch).
-  mpc::SchedulerConfig scheduler;
-  // Per-machine scratch budget for the simulated executor, in words
-  // (0 = the cluster's local memory s) — the Simulator ctor's
-  // scratch_words knob, exposed so a front end can run a tighter memory
-  // discipline than s without shrinking the cluster itself.
-  std::uint64_t simulator_scratch_words = 0;
-  // Deterministic fault plan attached to the simulated executor
-  // (kSimulated mode only; see mpc::FaultInjector).  Not owned; must
-  // outlive the structure.  nullptr (default) = no faults, no
-  // transactional overhead.
-  mpc::FaultInjector* fault_injector = nullptr;
   // Stop the Boruvka replacement search after this many consecutive
   // levels in which no group recovered any edge (robustness against
   // individual sampler failures; 1 = the paper's bare loop).
@@ -80,19 +60,6 @@ struct ConnectivityConfig {
   // MSF levels, the double cover) give each a distinct prefix so the
   // ledger sums rather than overwrites.
   std::string ledger_prefix = "connectivity";
-  // Async ingest front door (ingest/gutter_ingest.h): sketch deltas are
-  // buffered in per-vertex-block gutters and drained through worker-built
-  // delta sketches instead of one synchronous ExecPlan::run per batch.
-  // Flushed automatically before any sketch read (replacement-edge
-  // sampling, snapshot()) and by flush_ingest(); the resident sketch state
-  // after a flush is byte-identical to synchronous ingest of the same
-  // drain batches.  Labels/forest/queries are unaffected — only the sketch
-  // delta delivery is deferred.
-  bool async_ingest = false;
-  // Geometry/thread knobs for the gutter (used iff async_ingest).  A
-  // default-constructed label is replaced by "connectivity/sketch-update"
-  // so ledger charges land exactly where direct ingest puts them.
-  GutterIngestConfig gutter;
 };
 
 class DynamicConnectivity {
@@ -146,13 +113,10 @@ class DynamicConnectivity {
   const EulerTourForest& forest() const { return forest_; }
   EulerTourForest& mutable_forest() { return forest_; }
   const VertexSketches& sketches() const { return sketches_; }
-  // Non-null iff exec_mode == kSimulated and a cluster is attached.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
-  // Non-null under the same condition; splits only when its resolved
-  // policy is active (scheduler()->enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
-  // Non-null iff config.async_ingest; exposes buffered()/stats().
-  const GutterIngest* gutter() const { return gutter_.get(); }
+  // The ingest runtime's pieces (see IngestRuntime).
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
+  const GutterIngest* gutter() const { return ingest_.gutter(); }
   // Drains every buffered sketch delta into the resident shard (no-op when
   // async_ingest is off).  Called automatically before every sketch read;
   // call it explicitly to observe delivery errors (strict budget
@@ -181,21 +145,18 @@ class DynamicConnectivity {
   void apply_inserts(const std::vector<Update>& ins);
   void apply_deletes(const std::vector<Update>& del);
   void relabel_trees_of(const std::vector<VertexId>& touched);
-  // Routes delta_scratch_ through the cluster (per-machine accounting under
-  // `label`) when one is attached, flat ingest otherwise.
-  void ingest_deltas(const std::string& label);
   void publish_usage();
 
   VertexId n_;
   ConnectivityConfig config_;
   mpc::Cluster* cluster_;
-  std::unique_ptr<mpc::Simulator> simulator_;        // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;   // kSimulated mode only
   VertexSketches sketches_;
+  // Declared after the sketches: its destructor's gutter flush delivers
+  // into them.
+  IngestRuntime ingest_;
   EulerTourForest forest_;
   std::vector<VertexId> labels_;
   std::vector<EdgeDelta> delta_scratch_;  // reused batch-ingest buffer
-  mpc::RoutedBatch routed_scratch_;       // reused per-machine sub-batches
   // Reused buffers for the top-down Boruvka queries.
   GroupCsr group_csr_;
   BoundaryScratch boundary_scratch_;
@@ -215,9 +176,6 @@ class DynamicConnectivity {
   std::vector<Edge> repair_links_;
   bool repairable_ = true;
   Stats stats_;
-  // Declared last: the destructor's implicit flush must run while the
-  // sketches/cluster/simulator/scheduler above are still alive.
-  std::unique_ptr<GutterIngest> gutter_;
 };
 
 // Cancels offsetting insert/delete pairs of the same edge and splits the

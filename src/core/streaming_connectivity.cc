@@ -9,50 +9,21 @@ namespace streammpc {
 
 StreamingConnectivity::StreamingConnectivity(
     VertexId n, GraphSketchConfig sketch, mpc::Cluster* cluster,
-    mpc::ExecMode mode, const mpc::SchedulerConfig& scheduler,
-    mpc::FaultInjector* fault_injector)
+    mpc::ExecMode mode, const std::optional<GutterIngestConfig>& async_ingest)
     : n_(n),
       cluster_(cluster),
-      exec_mode_(mode),
       sketches_(n, sketch),
+      ingest_(n, cluster, IngestConfig::of(mode, async_ingest), &sketches_,
+              "streaming/sketch-update"),
       forest_adj_(n),
       labels_(n),
       components_(n) {
-  if (cluster_ != nullptr && exec_mode_ == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(*cluster_);
-    if (fault_injector != nullptr)
-      simulator_->attach_fault_injector(fault_injector);
-    scheduler_ =
-        std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_, scheduler);
-  }
   for (VertexId v = 0; v < n; ++v) labels_[v] = v;
 }
 
-void StreamingConnectivity::ingest(std::span<const EdgeDelta> deltas) {
-  if (gutter_ != nullptr) {
-    gutter_->submit(deltas);
-    return;
-  }
-  routed_ingest(cluster_, n_, deltas, "streaming/sketch-update", sketches_,
-                routed_scratch_, exec_mode_, simulator_.get(),
-                scheduler_.get());
-}
-
-void StreamingConnectivity::enable_async_ingest(
-    const GutterIngestConfig& config) {
-  SMPC_CHECK_MSG(gutter_ == nullptr, "async ingest already enabled");
-  GutterIngestConfig gcfg = config;
-  if (gcfg.label == GutterIngestConfig{}.label)
-    gcfg.label = "streaming/sketch-update";  // ledger parity with sync
-  gutter_ = std::make_unique<GutterIngest>(n_, sketches_, gcfg, cluster_,
-                                           exec_mode_, simulator_.get(),
-                                           scheduler_.get());
-}
-
 void StreamingConnectivity::flush_ingest() {
-  if (gutter_ == nullptr) return;
   try {
-    gutter_->flush();
+    ingest_.flush();
   } catch (...) {
     // A failed delivery leaves the resident sketches in an unknowable
     // partial state; void local snapshot repair.
@@ -105,7 +76,7 @@ void StreamingConnectivity::apply_stream(std::span<const Update> updates) {
   std::vector<EdgeDelta> pending;
   pending.reserve(updates.size());
   const auto flush = [&] {
-    ingest(pending);
+    ingest_.submit(pending);
     pending.clear();
   };
   for (const Update& update : updates) {
@@ -133,7 +104,7 @@ void StreamingConnectivity::insert(VertexId u, VertexId v) {
   ++stats_.inserts;
   // Line 1 of Algorithm 2: the sketches always absorb the update.
   const EdgeDelta d{e, +1};
-  ingest(std::span<const EdgeDelta>(&d, 1));
+  ingest_.submit(std::span<const EdgeDelta>(&d, 1));
   insert_forest(u, v);
 }
 
@@ -159,7 +130,7 @@ void StreamingConnectivity::erase(VertexId u, VertexId v) {
                  "deleting an edge whose endpoints are disconnected");
   ++stats_.deletes;
   const EdgeDelta d{e, -1};
-  ingest(std::span<const EdgeDelta>(&d, 1));
+  ingest_.submit(std::span<const EdgeDelta>(&d, 1));
   erase_forest(u, v);
 }
 

@@ -27,17 +27,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <vector>
 
 #include "core/query_cache.h"
 #include "graph/types.h"
-#include "ingest/gutter_ingest.h"
-#include "mpc/batch_scheduler.h"
+#include "ingest/ingest_runtime.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
@@ -50,16 +48,21 @@ class StreamingConnectivity {
   // structure runs unaccounted, single-machine.  Routing never changes the
   // sketch state, so results are identical either way.  `mode` selects how
   // buffered delta flushes execute against the cluster (flat / routed /
-  // machine-by-machine simulation); ignored when `cluster` is null.
-  // `scheduler` opts the simulated mode into adaptive batch bisection
-  // (see mpc::BatchScheduler).  `fault_injector` (not owned, may be null)
-  // attaches a deterministic fault plan to the simulated executor (see
-  // mpc::FaultInjector).
-  explicit StreamingConnectivity(VertexId n, GraphSketchConfig sketch = {},
-                                 mpc::Cluster* cluster = nullptr,
-                                 mpc::ExecMode mode = mpc::ExecMode::kRouted,
-                                 const mpc::SchedulerConfig& scheduler = {},
-                                 mpc::FaultInjector* fault_injector = nullptr);
+  // machine-by-machine simulation); ignored when `cluster` is null.  The
+  // simulated mode's batch scheduler follows the SMPC_SCHED / SMPC_GROW
+  // env switches (SchedulerConfig's kAuto).  `async_ingest` opts into the
+  // async front door (ingest/gutter_ingest.h): sketch deltas buffer in
+  // per-vertex-block gutters and drain through worker-built delta
+  // sketches, flushed automatically before every sketch read (cut
+  // queries, snapshot()); forest/label bookkeeping never reads the
+  // sketches between flushes.  A default-constructed label becomes
+  // "streaming/sketch-update" so ledger charges land exactly where direct
+  // ingest puts them.
+  explicit StreamingConnectivity(
+      VertexId n, GraphSketchConfig sketch = {},
+      mpc::Cluster* cluster = nullptr,
+      mpc::ExecMode mode = mpc::ExecMode::kRouted,
+      const std::optional<GutterIngestConfig>& async_ingest = std::nullopt);
 
   VertexId n() const { return n_; }
 
@@ -81,16 +84,6 @@ class StreamingConnectivity {
   // processing, with or without an attached cluster.
   void apply_stream(std::span<const Update> updates);
 
-  // Async ingest front door (ingest/gutter_ingest.h): after this, sketch
-  // deltas buffer in per-vertex-block gutters and drain through
-  // worker-built delta sketches; flushed automatically before every
-  // sketch read (cut queries, snapshot()).  Forest/label bookkeeping is
-  // unaffected — it never reads the sketches between flushes.  A
-  // default-constructed label becomes "streaming/sketch-update" so ledger
-  // charges land exactly where direct ingest puts them.
-  void enable_async_ingest(const GutterIngestConfig& config = {});
-  // Non-null once async ingest is enabled; exposes buffered()/stats().
-  const GutterIngest* gutter() const { return gutter_.get(); }
   // Drains buffered deltas (no-op when async ingest is off).  A throwing
   // flush poisons the repair state: the next snapshot() rebuilds.
   void flush_ingest();
@@ -125,10 +118,10 @@ class StreamingConnectivity {
   std::uint64_t memory_words() const;
 
   const VertexSketches& sketches() const { return sketches_; }
-  // Non-null iff constructed with kSimulated mode and a cluster.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
-  // Non-null under the same condition (see BatchScheduler::enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  // The ingest runtime's pieces (see IngestRuntime).
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
+  const GutterIngest* gutter() const { return ingest_.gutter(); }
 
  private:
   // Collects the vertices of u's tree in F via BFS (the Z_u of §4.2).
@@ -138,17 +131,13 @@ class StreamingConnectivity {
   // buffered-stream paths (the sketch delta is applied separately).
   void insert_forest(VertexId u, VertexId v);
   void erase_forest(VertexId u, VertexId v);
-  // Applies buffered deltas to the sketches — routed per machine (and
-  // charged on the cluster) when a cluster is attached, flat otherwise.
-  void ingest(std::span<const EdgeDelta> deltas);
 
   VertexId n_;
   mpc::Cluster* cluster_;
-  mpc::ExecMode exec_mode_;
-  std::unique_ptr<mpc::Simulator> simulator_;       // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;  // kSimulated mode only
-  mpc::RoutedBatch routed_scratch_;
   VertexSketches sketches_;
+  // Declared after the sketches: its destructor's gutter flush delivers
+  // into them.
+  IngestRuntime ingest_;
   std::vector<std::set<VertexId>> forest_adj_;
   std::vector<VertexId> labels_;
   std::size_t components_;
@@ -161,9 +150,6 @@ class StreamingConnectivity {
   std::vector<Edge> repair_links_;
   bool repairable_ = true;
   Stats stats_;
-  // Declared last: the destructor's implicit flush must run while the
-  // sketches/cluster/simulator/scheduler above are still alive.
-  std::unique_ptr<GutterIngest> gutter_;
 };
 
 }  // namespace streammpc

@@ -5,9 +5,7 @@
 
 #include "common/check.h"
 #include "common/env.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
 
 namespace streammpc {
@@ -47,12 +45,9 @@ GutterIngest::GutterIngest(VertexId universe, VertexSketches& sketches,
                            mpc::Cluster* cluster, mpc::ExecMode mode,
                            mpc::Simulator* simulator,
                            mpc::BatchScheduler* scheduler)
-    : universe_(universe),
+    : path_{universe, cluster, mode, scheduler},
+      target_(sketch_target(sketches, simulator)),
       sketches_(sketches),
-      cluster_(cluster),
-      mode_(mode),
-      simulator_(simulator),
-      scheduler_(scheduler),
       label_(config.label),
       capacity_(std::max<std::size_t>(config.gutter_capacity, 1)),
       direct_path_(cluster != nullptr && mode == mpc::ExecMode::kSimulated),
@@ -61,12 +56,12 @@ GutterIngest::GutterIngest(VertexId universe, VertexSketches& sketches,
       max_pending_(config.max_pending != 0 ? config.max_pending
                                            : worker_count_ + 2) {
   SMPC_CHECK(universe >= 1);
-  SMPC_CHECK_MSG(!direct_path_ || simulator_ != nullptr,
+  SMPC_CHECK_MSG(!direct_path_ || simulator != nullptr,
                  "simulated gutter drains require a Simulator");
   std::size_t gutters = config.gutters;
   if (gutters == 0)
-    gutters = cluster_ != nullptr
-                  ? static_cast<std::size_t>(cluster_->machines())
+    gutters = cluster != nullptr
+                  ? static_cast<std::size_t>(cluster->machines())
                   : 1;
   gutters_.resize(std::max<std::size_t>(gutters, 1));
   workers_.reserve(worker_count_);
@@ -98,7 +93,7 @@ GutterIngest::~GutterIngest() {
 void GutterIngest::submit(const EdgeDelta& delta) {
   // Validate at the door, like update_edges — a bad edge must throw at
   // submit() with nothing buffered, not surface from a later flush.
-  SMPC_CHECK(delta.e.u < delta.e.v && delta.e.v < universe_);
+  SMPC_CHECK(delta.e.u < delta.e.v && delta.e.v < path_.universe);
   const std::size_t g = gutter_of(delta.e);
   gutters_[g].push_back(delta);
   ++stats_.submitted;
@@ -121,19 +116,15 @@ void GutterIngest::drain(std::size_t g) {
   std::vector<EdgeDelta>& gutter = gutters_[g];
   if (gutter.empty()) return;
   buffered_ -= gutter.size();
-  if (direct_path_) {
-    deliver_direct(gutter);
-  } else {
+  if (!direct_path_) {
     enqueue(gutter);
+    return;
   }
-}
-
-void GutterIngest::deliver_direct(std::vector<EdgeDelta>& gutter) {
-  // A gutter flush is ONE scheduled batch: the scheduler's probe/bisect/
-  // retry/grow loop and the fault injector see exactly what a synchronous
-  // front end would have delivered.
-  routed_ingest(cluster_, universe_, gutter, label_, sketches_,
-                routed_scratch_, mode_, simulator_, scheduler_);
+  // Synchronous writer-thread delivery.  A gutter flush is ONE scheduled
+  // batch: the scheduler's probe/bisect/retry/grow loop and the fault
+  // injector see exactly what a synchronous front end would have
+  // delivered.
+  path_.deliver(gutter, label_, target_, routed_scratch_);
   ++stats_.direct_batches;
   gutter.clear();
 }
@@ -149,8 +140,8 @@ void GutterIngest::enqueue(std::vector<EdgeDelta>& gutter) {
   gutter.clear();
   // Stage on the writer thread (route_batch is a read-only pass over the
   // cluster); the worker only ever sees an immutable CSR.
-  if (cluster_ != nullptr && mode_ == mpc::ExecMode::kRouted) {
-    cluster_->route_batch(job->deltas, universe_, job->routed);
+  if (path_.cluster != nullptr && path_.mode == mpc::ExecMode::kRouted) {
+    path_.cluster->route_batch(job->deltas, path_.universe, job->routed);
   } else {
     stage_flat(job->deltas, job->routed);
   }
@@ -177,8 +168,8 @@ void GutterIngest::merge_ready(std::unique_lock<std::mutex>& lock) {
         // Deliveries happen in submission order on this (writer) thread
         // only: the ledger charge and the ExecPlan::run epoch bump form
         // the same deterministic sequence for every worker count.
-        if (cluster_ != nullptr && mode_ == mpc::ExecMode::kRouted)
-          cluster_->charge_routed(job->routed, label_);
+        if (path_.cluster != nullptr && path_.mode == mpc::ExecMode::kRouted)
+          path_.cluster->charge_routed(job->routed, label_);
         stats_.applied += sketches_.merge_delta(job->routed, *job->sketch);
         ++stats_.delta_batches;
       } catch (...) {

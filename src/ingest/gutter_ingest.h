@@ -25,10 +25,10 @@
 //     worker count, and the resident arenas come out byte-identical to
 //     synchronous ingest of the same drain batches;
 //   * under kSimulated mode the drain instead delivers through
-//     routed_ingest on the writer thread: a gutter flush IS one scheduled
-//     batch, so the BatchScheduler's probe/bisect/retry/grow loop and the
-//     fault injector compose unchanged (a precomputed delta sketch cannot
-//     survive a bisection, so that path does not precompute).
+//     IngestPath::deliver on the writer thread: a gutter flush IS one
+//     scheduled batch, so the BatchScheduler's probe/bisect/retry/grow
+//     loop and the fault injector compose unchanged (a precomputed delta
+//     sketch cannot survive a bisection, so that path does not precompute).
 //
 // Flush semantics: flush() drains every gutter and blocks until every
 // pending job is merged; the destructor flushes (swallowing errors — call
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "graph/types.h"
+#include "ingest/ingest_path.h"
 #include "mpc/comm_ledger.h"
 #include "mpc/config.h"
 #include "sketch/delta_sketch.h"
@@ -63,12 +64,6 @@
 namespace streammpc {
 
 class VertexSketches;
-
-namespace mpc {
-class BatchScheduler;
-class Cluster;
-class Simulator;
-}  // namespace mpc
 
 struct GutterIngestConfig {
   // Deltas buffered per gutter before it drains as one batch.
@@ -90,7 +85,7 @@ struct GutterIngestConfig {
 class GutterIngest {
  public:
   // `sketches` (and the optional cluster/simulator/scheduler, all
-  // unowned) must outlive this object.  `mode` mirrors routed_ingest's
+  // unowned) must outlive this object.  `mode` mirrors IngestPath's
   // dispatch: kFlat or a null cluster = unaccounted flat staging; kRouted
   // = route + charge per machine; kSimulated = writer-thread delivery
   // through the simulator/scheduler (`simulator` must be non-null then).
@@ -132,7 +127,7 @@ class GutterIngest {
     std::uint64_t flush_drains = 0;     // partial gutters drained by flush()
     std::uint64_t flushes = 0;
     std::uint64_t delta_batches = 0;   // merged from worker delta sketches
-    std::uint64_t direct_batches = 0;  // delivered through routed_ingest
+    std::uint64_t direct_batches = 0;  // delivered through IngestPath
     // ExecPlan::run's applied-count fold, delta-merge deliveries only (the
     // direct path's count lands in Simulator::Stats as usual).
     std::uint64_t applied = 0;
@@ -151,11 +146,9 @@ class GutterIngest {
 
   std::size_t gutter_of(Edge e) const {
     return static_cast<std::size_t>(
-        static_cast<std::uint64_t>(e.u) * gutters_.size() / universe_);
+        static_cast<std::uint64_t>(e.u) * gutters_.size() / path_.universe);
   }
   void drain(std::size_t g);
-  // Synchronous writer-thread delivery (kSimulated: scheduler/faults).
-  void deliver_direct(std::vector<EdgeDelta>& gutter);
   // Hands `gutter`'s contents to a worker as a delta-sketch job.
   void enqueue(std::vector<EdgeDelta>& gutter);
   // Merges every completed job at the head of merge_queue_, in submission
@@ -166,15 +159,14 @@ class GutterIngest {
   std::unique_ptr<DrainJob> acquire_job(std::unique_lock<std::mutex>& lock);
   void worker_loop();
 
-  VertexId universe_;
+  // Built once: the delivery path (universe, cluster, mode, scheduler) and
+  // the sketch target the direct path delivers to.
+  const IngestPath path_;
+  const IngestTarget target_;
   VertexSketches& sketches_;
-  mpc::Cluster* cluster_;
-  mpc::ExecMode mode_;
-  mpc::Simulator* simulator_;
-  mpc::BatchScheduler* scheduler_;
   std::string label_;
   std::size_t capacity_;
-  bool direct_path_;       // kSimulated: drains deliver via routed_ingest
+  bool direct_path_;       // kSimulated: drains deliver via IngestPath
   unsigned worker_count_;  // 0 on the direct path
   std::size_t max_pending_;
 

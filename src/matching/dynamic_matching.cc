@@ -6,18 +6,54 @@
 
 namespace streammpc {
 
+namespace {
+
+// Matching's two ingest values: the mode and the scheduler.
+IngestConfig ingest_config(const DynamicMatchingConfig& config) {
+  IngestConfig ingest = IngestConfig::of(config.exec_mode);
+  ingest.scheduler = config.scheduler;
+  return ingest;
+}
+
+}  // namespace
+
 DynamicApproxMatching::DynamicApproxMatching(
     VertexId n, const DynamicMatchingConfig& config, mpc::Cluster* cluster)
-    : n_(n), config_(config), cluster_(cluster) {
+    : n_(n),
+      cluster_(cluster),
+      ingest_(n, cluster, ingest_config(config), /*sketches=*/nullptr,
+              "matching/sketch-update") {
   SMPC_CHECK(n >= 2);
-  if (cluster_ != nullptr && config_.exec_mode == mpc::ExecMode::kSimulated) {
-    simulator_ = std::make_unique<mpc::Simulator>(
-        *cluster_, config_.simulator_scratch_words);
-    if (config_.fault_injector != nullptr)
-      simulator_->attach_fault_injector(config_.fault_injector);
-    scheduler_ = std::make_unique<mpc::BatchScheduler>(*cluster_, *simulator_,
-                                                       config_.scheduler);
-  }
+  target_.flat = [this](std::span<const EdgeDelta> deltas) {
+    for (const EdgeDelta& d : deltas)
+      for (auto& inst : guesses_) inst.sparsifier->apply_delta(d.e, d.delta);
+  };
+  target_.routed = [this](const mpc::RoutedBatch& routed) {
+    for (std::uint64_t m = 0; m < routed.machines(); ++m)
+      apply_owned(routed.machine_items(m));
+  };
+  target_.simulated.resident = [this](std::span<std::uint64_t> out) {
+    for (auto& inst : guesses_) inst.sparsifier->add_resident_words(out);
+  };
+  target_.simulated.deliver = [this](const mpc::RoutedBatch& routed,
+                                     const std::string& label) {
+    // The sampler shards' resident words are charged only when the
+    // scheduler probes them.  With it disabled the delivery keeps
+    // resident = 0: nothing reads the fold then, and charging it would
+    // change the budget gate and the ledger of every scheduler-off run.
+    std::span<const std::uint64_t> resident;
+    if (ingest_.scheduler()->enabled()) {
+      resident_scratch_.assign(cluster_->machines(), 0);
+      target_.simulated.resident(resident_scratch_);
+      resident = resident_scratch_;
+    }
+    ingest_.simulator()->execute(
+        routed, label,
+        [this](std::uint64_t, std::span<const mpc::RoutedBatch::Item> items) {
+          apply_owned(items);
+        },
+        resident);
+  };
   SplitMix64 sm(config.seed);
   for (std::uint64_t guess = n; guess >= 1; guess /= 2) {
     Instance inst;
@@ -38,83 +74,35 @@ DynamicApproxMatching::DynamicApproxMatching(
   }
 }
 
+void DynamicApproxMatching::apply_owned(
+    std::span<const mpc::RoutedBatch::Item> items) {
+  // Every delta lands once; samplers are linear, so the machine schedule
+  // is irrelevant to the resulting state.
+  for (const mpc::RoutedBatch::Item& item : items) {
+    if (!(item.endpoints & mpc::RoutedBatch::kEndpointU)) continue;
+    for (auto& inst : guesses_)
+      inst.sparsifier->apply_delta(item.delta.e, item.delta.delta);
+  }
+}
+
 void DynamicApproxMatching::apply_batch(const Batch& batch) {
   if (cluster_ != nullptr) cluster_->begin_phase();
   mpc::sort(cluster_, batch.size(), "matching/preprocess");
-  if (cluster_ == nullptr || config_.exec_mode == mpc::ExecMode::kFlat ||
-      batch.empty()) {
-    // Flat baseline: one in-process pass per guess, no routing accounting.
-    for (auto& inst : guesses_) {
-      auto delta = inst.sparsifier->apply_batch(batch);
-      inst.maximal->apply(delta.remove, delta.add);
-    }
-  } else {
-    // Route the batch to the machines hosting the endpoint state — the
-    // actual per-machine delta loads, not a flat broadcast.  The Theta(log
-    // n) guesses run in parallel on the MPC (each machine hosts a shard of
-    // every guess), so one delivery serves them all.
-    delta_scratch_.clear();
-    delta_scratch_.reserve(batch.size());
-    for (const Update& u : batch) {
-      delta_scratch_.push_back(
-          EdgeDelta{u.e, u.type == UpdateType::kInsert ? 1 : -1});
-    }
-    for (auto& inst : guesses_) inst.sparsifier->begin_batch(batch);
-    // An update is applied by the machine owning the edge's min endpoint
-    // (the kEndpointU copy appears exactly once per delta), so every delta
-    // lands once; samplers are linear, so the machine schedule is
-    // irrelevant to the resulting state.
-    const auto apply_owned =
-        [&](std::span<const mpc::RoutedBatch::Item> items) {
-          for (const mpc::RoutedBatch::Item& item : items) {
-            if (!(item.endpoints & mpc::RoutedBatch::kEndpointU)) continue;
-            for (auto& inst : guesses_) {
-              inst.sparsifier->apply_delta(item.delta.e, item.delta.delta);
-            }
-          }
-        };
-    if (config_.exec_mode == mpc::ExecMode::kSimulated) {
-      const auto step = [&](std::uint64_t,
-                            std::span<const mpc::RoutedBatch::Item> items) {
-        apply_owned(items);
-      };
-      if (scheduler_->enabled()) {
-        // Scheduler path: the sampler shards report their per-machine
-        // resident words through a Target, so an over-budget batch is
-        // probed, bisected, retried, or grown instead of throwing — the
-        // same adaptive loop as the vertex-sketch front ends.  Routing
-        // happens inside the scheduler, per chunk.
-        mpc::BatchScheduler::Target target;
-        target.resident = [&](std::span<std::uint64_t> out) {
-          for (auto& inst : guesses_)
-            inst.sparsifier->add_resident_words(out);
-        };
-        target.deliver = [&](const mpc::RoutedBatch& routed,
-                             const std::string& label) {
-          resident_scratch_.assign(cluster_->machines(), 0);
-          for (auto& inst : guesses_)
-            inst.sparsifier->add_resident_words(resident_scratch_);
-          simulator_->execute(routed, label, step, resident_scratch_);
-        };
-        scheduler_->execute(delta_scratch_, n_, "matching/sketch-update",
-                            target);
-      } else {
-        // Default path, unchanged from pre-scheduler behavior: one flat
-        // delivery with resident = 0.
-        cluster_->route_batch(delta_scratch_, n_, routed_scratch_);
-        simulator_->execute(routed_scratch_, "matching/sketch-update", step);
-      }
-    } else {
-      cluster_->route_batch(delta_scratch_, n_, routed_scratch_);
-      cluster_->charge_routed(routed_scratch_, "matching/sketch-update");
-      for (std::uint64_t m = 0; m < routed_scratch_.machines(); ++m) {
-        apply_owned(routed_scratch_.machine_items(m));
-      }
-    }
-    for (auto& inst : guesses_) {
-      auto delta = inst.sparsifier->finish_batch();
-      inst.maximal->apply(delta.remove, delta.add);
-    }
+  // Route the batch to the machines hosting the endpoint state — the
+  // actual per-machine delta loads, not a flat broadcast.  The Theta(log
+  // n) guesses run in parallel on the MPC (each machine hosts a shard of
+  // every guess), so one delivery serves them all.
+  delta_scratch_.clear();
+  delta_scratch_.reserve(batch.size());
+  for (const Update& u : batch) {
+    delta_scratch_.push_back(
+        EdgeDelta{u.e, u.type == UpdateType::kInsert ? 1 : -1});
+  }
+  for (auto& inst : guesses_) inst.sparsifier->begin_batch(batch);
+  ingest_.submit(delta_scratch_, target_);
+  for (auto& inst : guesses_) {
+    auto delta = inst.sparsifier->finish_batch();
+    inst.maximal->apply(delta.remove, delta.add);
   }
   if (cluster_ != nullptr)
     cluster_->set_usage("matching/dynamic", memory_words());

@@ -17,11 +17,10 @@
 #include <memory>
 #include <vector>
 
+#include "ingest/ingest_runtime.h"
 #include "matching/akly_sparsifier.h"
 #include "matching/batch_maximal_matching.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 
 namespace streammpc {
 
@@ -51,13 +50,6 @@ struct DynamicMatchingConfig {
   // pre-scheduler behavior: the Simulator's sketch-free MachineStep
   // overload with resident = 0.
   mpc::SchedulerConfig scheduler;
-  // Per-machine scratch budget for the simulated executor, in words
-  // (0 = the cluster's local memory s).
-  std::uint64_t simulator_scratch_words = 0;
-  // Deterministic fault plan attached to the simulated executor
-  // (kSimulated mode only; crashes and budget spikes apply — there is no
-  // sketch grid to inject cell faults into).  Not owned; may be null.
-  mpc::FaultInjector* fault_injector = nullptr;
 };
 
 class DynamicApproxMatching {
@@ -76,11 +68,9 @@ class DynamicApproxMatching {
 
   std::uint64_t memory_words() const;
 
-  // Non-null iff exec_mode == kSimulated and a cluster is attached.
-  const mpc::Simulator* simulator() const { return simulator_.get(); }
-  // Non-null under the same condition; splits only when its resolved
-  // policy is active (scheduler()->enabled()).
-  const mpc::BatchScheduler* scheduler() const { return scheduler_.get(); }
+  // The ingest runtime's pieces (see IngestRuntime).
+  const mpc::Simulator* simulator() const { return ingest_.simulator(); }
+  const mpc::BatchScheduler* scheduler() const { return ingest_.scheduler(); }
 
   struct Instance {
     std::uint64_t opt_guess = 0;
@@ -90,14 +80,16 @@ class DynamicApproxMatching {
   const std::vector<Instance>& guesses() const { return guesses_; }
 
  private:
+  // Applies the deltas an update's min-endpoint machine owns (the
+  // kEndpointU copy appears exactly once per delta) to every guess.
+  void apply_owned(std::span<const mpc::RoutedBatch::Item> items);
+
   VertexId n_;
-  DynamicMatchingConfig config_;
   mpc::Cluster* cluster_;
-  std::unique_ptr<mpc::Simulator> simulator_;        // kSimulated mode only
-  std::unique_ptr<mpc::BatchScheduler> scheduler_;   // kSimulated mode only
+  IngestRuntime ingest_;
+  IngestTarget target_;  // the sampler shards, per mode
   std::vector<EdgeDelta> delta_scratch_;       // reused batch-ingest buffer
-  mpc::RoutedBatch routed_scratch_;  // reused per-machine sub-batches
-  std::vector<std::uint64_t> resident_scratch_;  // scheduler Target fold
+  std::vector<std::uint64_t> resident_scratch_;  // simulated delivery fold
   std::vector<Instance> guesses_;
 };
 

@@ -42,13 +42,24 @@ BatchScheduler::BatchScheduler(Cluster& cluster, Simulator& simulator,
   SMPC_CHECK(config_.min_chunk >= 1);
 }
 
+BatchScheduler::Target BatchScheduler::sketch_target(
+    Simulator& simulator, VertexSketches& sketches) {
+  return Target{
+      [&simulator, &sketches](std::span<std::uint64_t> out) {
+        const std::span<const std::uint64_t> fold =
+            sketches.resident_fold(simulator.cluster());
+        std::copy(fold.begin(), fold.end(), out.begin());
+      },
+      [&simulator, &sketches](const RoutedBatch& routed,
+                              const std::string& label) {
+        simulator.execute(routed, label, sketches);
+      }};
+}
+
 void BatchScheduler::execute(std::span<const EdgeDelta> deltas,
                              std::uint64_t universe, const std::string& label,
                              VertexSketches& sketches) {
-  if (deltas.empty()) return;
-  ++stats_.batches;
-  execute_chunk(deltas, universe, label, &sketches, /*target=*/nullptr,
-                /*offset=*/0, /*depth=*/0);
+  execute(deltas, universe, label, sketch_target(simulator_, sketches));
 }
 
 void BatchScheduler::execute(std::span<const EdgeDelta> deltas,
@@ -58,28 +69,26 @@ void BatchScheduler::execute(std::span<const EdgeDelta> deltas,
                  "scheduler Target needs both a resident and a deliver hook");
   if (deltas.empty()) return;
   ++stats_.batches;
-  execute_chunk(deltas, universe, label, /*sketches=*/nullptr, &target,
-                /*offset=*/0, /*depth=*/0);
+  execute_chunk(deltas, universe, label, target, /*offset=*/0, /*depth=*/0);
 }
 
-Simulator::BudgetProbe BatchScheduler::probe_target(const Target& target) {
+std::span<const std::uint64_t> BatchScheduler::fold_resident(
+    const Target& target) {
   resident_scratch_.assign(cluster_.machines(), 0);
   target.resident(resident_scratch_);
-  return simulator_.probe(routed_, resident_scratch_);
+  return resident_scratch_;
 }
 
 void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
                                    std::uint64_t universe,
                                    const std::string& label,
-                                   VertexSketches* sketches,
-                                   const Target* target, std::uint64_t offset,
+                                   const Target& target, std::uint64_t offset,
                                    std::uint32_t depth) {
   for (;;) {
     cluster_.route_batch(deltas, universe, routed_);
     if (!enabled()) break;
     const Simulator::BudgetProbe report =
-        sketches ? simulator_.probe(routed_, *sketches)
-                 : probe_target(*target);
+        simulator_.probe(routed_, fold_resident(target));
     if (report.fits) break;
     // Splitting shrinks only the *delivered* half of the claim; the
     // resident shard rides along into every leaf, and any leaf that
@@ -118,8 +127,8 @@ void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
         // chunk re-probes (other machines, or resident growth, may still
         // split it further).
         const std::size_t cut = proportional_cut(deltas, universe, report);
-        execute_chunk(deltas.first(cut), universe, label, sketches, target,
-                      offset, depth + 1);
+        execute_chunk(deltas.first(cut), universe, label, target, offset,
+                      depth + 1);
         deltas = deltas.subspan(cut);
         offset += cut;
         continue;
@@ -130,9 +139,9 @@ void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
       // sees the true resident state each retry would see on a real
       // cluster.
       const std::size_t mid = deltas.size() / 2;
-      execute_chunk(deltas.first(mid), universe, label, sketches, target,
-                    offset, depth + 1);
-      execute_chunk(deltas.subspan(mid), universe, label, sketches, target,
+      execute_chunk(deltas.first(mid), universe, label, target, offset,
+                    depth + 1);
+      execute_chunk(deltas.subspan(mid), universe, label, target,
                     offset + mid, depth + 1);
       return;
     }
@@ -141,7 +150,7 @@ void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
       // no batch sizing helps, but halving every vertex block does.
       // Grow, then loop — the chunk re-routes and re-probes under the
       // new geometry (possibly growing again, up to max_grows).
-      do_grow(label, sketches, target, offset, deltas.size(), report);
+      do_grow(label, target, offset, deltas.size(), report);
       continue;
     }
     // Exhausted — unfixable overflow, min_chunk, or max_depth: execute
@@ -151,21 +160,16 @@ void BatchScheduler::execute_chunk(std::span<const EdgeDelta> deltas,
     ++stats_.exhausted;
     break;
   }
-  deliver_chunk(label, sketches, target);
+  deliver_chunk(label, target);
 }
 
 void BatchScheduler::deliver_chunk(const std::string& label,
-                                   VertexSketches* sketches,
-                                   const Target* target) {
+                                   const Target& target) {
   for (unsigned attempt = 0;; ++attempt) {
     const std::string attempt_label =
         attempt == 0 ? label : label + "/retry";
     try {
-      if (sketches) {
-        simulator_.execute(routed_, attempt_label, *sketches);
-      } else {
-        target->deliver(routed_, attempt_label);
-      }
+      target.deliver(routed_, attempt_label);
       ++stats_.subbatches;
       return;
     } catch (const TransientFault& fault) {
@@ -232,8 +236,7 @@ std::size_t BatchScheduler::proportional_cut(
   return std::clamp<std::size_t>(cut, 1, deltas.size() - 1);
 }
 
-void BatchScheduler::do_grow(const std::string& label,
-                             VertexSketches* sketches, const Target* target,
+void BatchScheduler::do_grow(const std::string& label, const Target& target,
                              std::uint64_t offset, std::uint64_t size,
                              const Simulator::BudgetProbe& probe) {
   // Control rounds at the OLD geometry: the over-budget machine reports up
@@ -248,15 +251,9 @@ void BatchScheduler::do_grow(const std::string& label,
   // Fold the resident distribution at the NEW count — those are exactly
   // the words each new machine receives — and put the full volume on the
   // ledger (honest accounting: re-partitioning is not free).
-  // (resident_fold refolds from scratch here: the machine count changed.)
-  std::span<const std::uint64_t> resident;
-  if (sketches) {
-    resident = sketches->resident_fold(cluster_);
-  } else {
-    resident_scratch_.assign(after, 0);
-    target->resident(resident_scratch_);
-    resident = resident_scratch_;
-  }
+  // (A sketch target's resident_fold refolds from scratch here: the
+  // machine count changed.)
+  const std::span<const std::uint64_t> resident = fold_resident(target);
   std::uint64_t moved = 0;
   for (const std::uint64_t w : resident) moved += w;
   cluster_.add_rounds(control + 1, label + "/grow-shuffle");

@@ -165,18 +165,23 @@ class BatchScheduler {
     std::vector<Grow> grow_log;
   };
 
-  // A non-sketch delivery target: lets front ends whose per-machine state
-  // is not a VertexSketches arena (e.g. the AKLY matching sampler shards)
-  // ride the same probe/split/retry/grow loop.  `resident` fills out[m]
-  // with machine m's resident words under the CURRENT cluster geometry
-  // (out.size() == cluster.machines(); it is re-queried after a grow);
-  // `deliver` executes one routed leaf under `label` and may throw
-  // TransientFault / MemoryBudgetExceeded exactly like Simulator::execute.
+  // What the loop delivers to: the vertex sketches (sketch_target) or any
+  // other per-machine state, e.g. the AKLY matching sampler shards.
+  // `resident` fills out[m] (zeroed by the caller) with machine m's
+  // resident words under the CURRENT cluster geometry (out.size() ==
+  // cluster.machines(); it is re-queried after a grow); `deliver` executes
+  // one routed leaf under `label` and may throw TransientFault /
+  // MemoryBudgetExceeded exactly like Simulator::execute.
   struct Target {
     std::function<void(std::span<std::uint64_t> out)> resident;
     std::function<void(const RoutedBatch& routed, const std::string& label)>
         deliver;
   };
+
+  // The vertex-sketch Target: resident = VertexSketches::resident_fold at
+  // the simulator's cluster, deliver = Simulator::execute(routed, label,
+  // sketches) — exactly what Simulator::probe(routed, sketches) folds.
+  static Target sketch_target(Simulator& simulator, VertexSketches& sketches);
 
   // `config.policy` kAuto resolves against the SMPC_SCHED environment
   // variable once, here ("bisect" => kBisect, anything else => kNone) —
@@ -185,46 +190,39 @@ class BatchScheduler {
                  const SchedulerConfig& config = {});
 
   // Whether this scheduler actually splits; with kNone it is a transparent
-  // pass-through to Simulator::execute (and routed_ingest skips it).
+  // pass-through to Simulator::execute (and IngestPath::deliver skips it).
   bool enabled() const {
     return policy_ == SplitPolicy::kBisect ||
            policy_ == SplitPolicy::kProportional;
   }
   SplitPolicy policy() const { return policy_; }
 
-  // Routes `deltas` under the vertex universe [0, universe) and executes
-  // them through the simulator, bisecting on probe overflow as configured.
-  // The final sketch state is identical to a single flat
-  // update_edges(deltas) — splitting changes rounds, never bytes.
-  void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
-               const std::string& label, VertexSketches& sketches);
-
-  // Same loop over a generic Target (see above).  The probe folds the
-  // target's self-reported resident words instead of walking sketch pages;
-  // everything else — split tree, retry, grow, accounting — is identical.
+  // Routes `deltas` under the vertex universe [0, universe) and delivers
+  // them to `target`, bisecting on probe overflow as configured.  Splitting
+  // changes rounds, never the target's final state (linearity).
   void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
                const std::string& label, const Target& target);
+  // execute() over sketch_target(): the final sketch state is identical
+  // to a single flat update_edges(deltas).
+  void execute(std::span<const EdgeDelta> deltas, std::uint64_t universe,
+               const std::string& label, VertexSketches& sketches);
 
   // Whether machine-growing is active (after kAuto/SMPC_GROW resolution).
   bool grow_enabled() const { return grow_ == GrowPolicy::kDouble; }
 
   const Stats& stats() const { return stats_; }
-  const Cluster& cluster() const { return cluster_; }
-  const Simulator& simulator() const { return simulator_; }
 
  private:
-  // Exactly one of `sketches` / `target` is non-null.
   void execute_chunk(std::span<const EdgeDelta> deltas, std::uint64_t universe,
-                     const std::string& label, VertexSketches* sketches,
-                     const Target* target, std::uint64_t offset,
-                     std::uint32_t depth);
+                     const std::string& label, const Target& target,
+                     std::uint64_t offset, std::uint32_t depth);
   // Delivers one routed leaf with the bounded retry loop; `routed_` must
   // hold the chunk's routing.  Throws only after retries are exhausted (or
   // on a non-transient error).
-  void deliver_chunk(const std::string& label, VertexSketches* sketches,
-                     const Target* target);
-  // Probes the current `routed_` chunk against the target's resident words.
-  Simulator::BudgetProbe probe_target(const Target& target);
+  void deliver_chunk(const std::string& label, const Target& target);
+  // The target's resident words at the current geometry, in
+  // resident_scratch_.
+  std::span<const std::uint64_t> fold_resident(const Target& target);
   // kProportional's cut point: the largest prefix of `deltas` whose load on
   // the offending machine still fits the budget headroom left after its
   // resident shard (scaled out of the probe's spike-adjusted claim), clamped
@@ -236,8 +234,8 @@ class BatchScheduler {
   // The machine-growing step: charge the control + shuffle rounds under
   // "<label>/grow-shuffle", double the cluster, record the re-partitioned
   // resident volume on the ledger.
-  void do_grow(const std::string& label, VertexSketches* sketches,
-               const Target* target, std::uint64_t offset, std::uint64_t size,
+  void do_grow(const std::string& label, const Target& target,
+               std::uint64_t offset, std::uint64_t size,
                const Simulator::BudgetProbe& probe);
 
   Cluster& cluster_;
@@ -246,7 +244,7 @@ class BatchScheduler {
   SplitPolicy policy_;   // resolved (never kAuto)
   GrowPolicy grow_;      // resolved (never kAuto)
   RoutedBatch routed_;   // per-chunk routing scratch, reused
-  std::vector<std::uint64_t> resident_scratch_;  // Target probe fold
+  std::vector<std::uint64_t> resident_scratch_;  // fold_resident's buffer
   Stats stats_;
 };
 

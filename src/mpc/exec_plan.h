@@ -70,7 +70,7 @@ class ExecPlan {
   // values are linear in the deltas, so the resulting arenas are
   // byte-identical to lower_routed(routed) + run().  Fault injection
   // (skip_machine) is not supported on this path: faults live in the
-  // simulated executor, which drains gutters through routed_ingest
+  // simulated executor, which drains gutters through IngestPath::deliver
   // instead of precomputed delta sketches.  Both referents must stay
   // alive and unmutated until run() returns.
   ExecPlan& lower_delta(const RoutedBatch& routed, const DeltaSketch& delta);

@@ -194,20 +194,11 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
   execute(routed, label, sketches, order_scratch_);
 }
 
-std::span<const std::uint64_t> Simulator::resident_fold(
-    const VertexSketches& sketches) const {
-  // Resident fold (pre-mutation): the sketch shard each machine already
-  // hosts, against which a delivery's scratch claim stacks.  Incremental
-  // in the sketches — O(pages allocated since the last delivery), with a
-  // full O(pages) refold only after a rollback or a machine-count change.
-  return sketches.resident_fold(cluster_);
-}
-
 Simulator::BudgetProbe Simulator::probe(const RoutedBatch& routed,
                                         const VertexSketches& sketches) {
   SMPC_CHECK_MSG(routed.machines() == cluster_.machines(),
                  "routed batch was built for a different machine count");
-  return probe(routed, resident_fold(sketches));
+  return probe(routed, sketches.resident_fold(cluster_));
 }
 
 Simulator::BudgetProbe Simulator::probe(
@@ -250,7 +241,12 @@ void Simulator::execute(const RoutedBatch& routed, const std::string& label,
     seen_scratch_[m] = 1;
   }
 
-  const std::span<const std::uint64_t> resident = resident_fold(sketches);
+  // Resident fold (pre-mutation): the sketch shard each machine already
+  // hosts, against which a delivery's scratch claim stacks.  Incremental
+  // in the sketches — O(pages allocated since the last delivery), with a
+  // full O(pages) refold only after a rollback or a machine-count change.
+  const std::span<const std::uint64_t> resident =
+      sketches.resident_fold(cluster_);
   // Gates first — a crashed target machine or a strict budget overflow
   // rejects the batch with zero mutation and zero charge.
   fault_gate(routed, label);

@@ -253,7 +253,6 @@ class Simulator {
   // all.  The injector must outlive the simulator; attaching does not
   // transfer ownership.
   void attach_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  const FaultInjector* fault_injector() const { return injector_; }
 
   std::uint64_t scratch_words() const { return scratch_words_; }
   unsigned grid_threads() const { return grid_threads_; }
@@ -286,10 +285,6 @@ class Simulator {
   // fault fires.
   bool scan_cell_faults(const RoutedBatch& routed, unsigned banks,
                         std::uint64_t* fault_machine, unsigned* fault_bank);
-  // Each machine's resident sketch-shard words at this cluster's geometry
-  // (VertexSketches::resident_fold, incremental).
-  std::span<const std::uint64_t> resident_fold(
-      const VertexSketches& sketches) const;
   // Effective per-machine budget: strict clusters are additionally bound
   // by local memory s (see the ctor comment).
   std::uint64_t effective_budget() const;

@@ -168,32 +168,13 @@ void BankArena::snapshot_commit() {
   txn_active_ = false;
 }
 
-std::uint64_t BankArena::resident_words(VertexId lo, VertexId hi) const {
-  SMPC_CHECK(lo <= hi && hi <= n_);
-  const auto store_words = [&](const Store& store, std::size_t cells) {
-    if (store.page_of.empty()) return std::uint64_t{0};
-    std::uint64_t pages = 0;
-    for (VertexId v = lo; v < hi; ++v) {
-      if (store.page_of[v] != kNoPage) ++pages;
-    }
-    // Same accounting as allocated_words(): 4 words per cell, half a word
-    // per page-map entry.
-    return pages * cells * 4 + (hi - lo) / 2;
-  };
-  std::uint64_t words = store_words(hot_, hot_cells_);
-  for (const Store& store : overflow_) {
-    words += store_words(store, cells_per_level_);
-  }
-  return words;
-}
-
 BankArena::StoreFootprint BankArena::store_footprint(unsigned store) const {
   SMPC_CHECK(store < stores());
   const Store& s = store == 0 ? hot_ : overflow_[store - 1];
   const std::size_t cells = store == 0 ? hot_cells_ : cells_per_level_;
-  // Same accounting as resident_words(): 4 words per cell record.
+  // Same accounting as allocated_words(): 4 words per cell record.
   return {std::span<const VertexId>(s.owner.data(), s.pages), cells * 4,
-          !s.page_of.empty()};
+          s.page_of};
 }
 
 void BankArena::merge_into(const L0Params& params,

@@ -1,7 +1,8 @@
 // Flat per-bank arena for the AGM vertex sketches.
 //
 // The seed implementation stored bank b as vector<L0Sampler> with each
-// sampler owning vector<SSparseRecovery> owning vector<OneSparseCell> —
+// sampler owning one s-sparse recovery object per level, each owning
+// vector<OneSparseCell> (tests/legacy_sketch_ref.h keeps that layout) —
 // three levels of pointer chasing and one small heap allocation per
 // (vertex, level) on the edge-update hot path.  The arena replaces that
 // with contiguous cell storage, split by level depth to match the
@@ -106,28 +107,19 @@ class BankArena {
   // machine-by-machine ingest.
   void prepare_pages(VertexId v, unsigned depth);
 
-  // Words of cell and page-map storage attributable to the vertex block
-  // [lo, hi) — the *resident* footprint of the machine hosting those
-  // vertices under the contiguous-block partitioner.  Page-map words are
-  // charged at the same half-word-per-entry rate as allocated_words(), so
-  // summing over a partition of [0, n) reproduces allocated_words() up to
-  // one word of rounding per block.  An O(hi - lo) page-map scan per
-  // store: the executor reads the incremental VertexSketches::resident_fold
-  // instead, and this stays as the fold's exactness oracle.
-  std::uint64_t resident_words(VertexId lo, VertexId hi) const;
-
-  // One level store's footprint, in the terms resident_words() charges:
+  // One level store's footprint, in the terms allocated_words() charges:
   // the owners of its pages in allocation order (the reverse map — pages
   // are only ever appended, and only rollback_pages truncates), the cell
-  // words one page holds, and whether its page map is populated (charged
-  // half a word per vertex).  Stores are numbered hot
-  // first, then one per overflow level.  This is what lets
-  // VertexSketches::resident_fold count only the pages allocated since
-  // its last call.
+  // words one page holds, and its page map ([vertex] -> page or kNoPage;
+  // empty until populated, then charged half a word per vertex).  Stores
+  // are numbered hot first, then one per overflow level.  This is what
+  // lets VertexSketches::resident_fold count only the pages allocated
+  // since its last call.
+  static constexpr std::uint32_t kNoPage = ~0u;
   struct StoreFootprint {
     std::span<const VertexId> owners;
     std::uint64_t page_words = 0;
-    bool page_map = false;
+    std::span<const std::uint32_t> page_of;
   };
   unsigned stores() const {
     return 1 + static_cast<unsigned>(overflow_.size());
@@ -279,7 +271,6 @@ class BankArena {
   unsigned levels() const { return levels_; }
 
  private:
-  static constexpr std::uint32_t kNoPage = ~0u;
   // Levels resolved through the single hot page map; depth >= kHotLevels
   // has probability 2^-kHotLevels.
   static constexpr unsigned kHotLevels = 1;

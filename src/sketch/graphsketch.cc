@@ -6,9 +6,7 @@
 
 #include "common/check.h"
 #include "common/random.h"
-#include "mpc/batch_scheduler.h"
 #include "mpc/cluster.h"
-#include "mpc/simulator.h"
 #include "sketch/delta_sketch.h"
 
 namespace streammpc {
@@ -267,8 +265,7 @@ std::span<const std::uint64_t> VertexSketches::resident_fold(
     }
   }
   // Each store charges its pages' cell words to the owners' machines plus,
-  // once its page map exists, half a word per vertex of every block —
-  // BankArena::resident_words's per-store formula, summed.
+  // once its page map exists, half a word per vertex of every block.
   std::uint64_t mapped_stores = 0;
   for (std::size_t b = 0; b < arenas_.size(); ++b) {
     for (unsigned s = 0; s < stores; ++s) {
@@ -278,7 +275,7 @@ std::span<const std::uint64_t> VertexSketches::resident_fold(
         fold.cell_words[cluster.machine_of(store.owners[p], n_)] +=
             store.page_words;
       folded = static_cast<std::uint32_t>(store.owners.size());
-      if (store.page_map) ++mapped_stores;
+      if (!store.page_of.empty()) ++mapped_stores;
     }
   }
   fold.words.resize(machines);
@@ -420,38 +417,6 @@ std::uint64_t VertexSketches::allocated_words() const {
 
 std::uint64_t VertexSketches::nominal_words_per_vertex() const {
   return params_.front().nominal_words() * banks();
-}
-
-void routed_ingest(mpc::Cluster* cluster, VertexId universe,
-                   std::span<const EdgeDelta> deltas, const std::string& label,
-                   VertexSketches& sketches, mpc::RoutedBatch& routed,
-                   mpc::ExecMode mode, mpc::Simulator* simulator,
-                   mpc::BatchScheduler* scheduler) {
-  // An empty batch delivers nothing — charging a round for it would skew
-  // the per-structure round accounting (front ends reach here with empty
-  // delta lists on e.g. all-cancelling batches).
-  if (deltas.empty()) return;
-  if (cluster == nullptr || mode == mpc::ExecMode::kFlat) {
-    sketches.update_edges(deltas);
-    return;
-  }
-  if (mode == mpc::ExecMode::kSimulated) {
-    SMPC_CHECK_MSG(simulator != nullptr,
-                   "simulated execution mode requires a Simulator");
-    if (scheduler != nullptr && scheduler->enabled()) {
-      // The adaptive control loop: route, probe resident + delivered
-      // against the budget, bisect-and-retry on overflow.
-      scheduler->execute(deltas, universe, label, sketches);
-      return;
-    }
-  }
-  cluster->route_batch(deltas, universe, routed);
-  if (mode == mpc::ExecMode::kSimulated) {
-    simulator->execute(routed, label, sketches);
-  } else {
-    cluster->charge_routed(routed, label);
-    sketches.update_edges(routed);
-  }
 }
 
 }  // namespace streammpc

@@ -39,7 +39,6 @@
 
 #include "common/thread_pool.h"
 #include "mpc/comm_ledger.h"
-#include "mpc/config.h"
 #include "mpc/exec_plan.h"
 #include "sketch/arena.h"
 #include "sketch/coord.h"
@@ -50,9 +49,7 @@ namespace streammpc {
 class DeltaSketch;
 
 namespace mpc {
-class BatchScheduler;
 class Cluster;
-class Simulator;
 }
 
 struct GraphSketchConfig {
@@ -197,7 +194,7 @@ class VertexSketches {
   // Words of sketch-shard state resident on every machine of `cluster`
   // ([machine], cluster.machines() entries): the arena pages (and page-map
   // share) of the vertex block the cluster's partitioner assigns it,
-  // summed over banks — exactly sum_b arena(b).resident_words(block).
+  // summed over banks (tests/resident_oracle.h recounts it per block).
   // This is the memory a machine holds *between* rounds, charged against
   // local memory s alongside the delivered sub-batch by the Simulator's
   // resident-fidelity accounting and shuffled by the scheduler's grows.
@@ -392,32 +389,5 @@ class GroupCsr {
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> cursor_;
 };
-
-// The shared front-end ingest step of every tier-1 structure, dispatching
-// on the execution mode (see mpc::ExecMode).  Every mode executes the same
-// (machine x bank) cell grid (mpc::ExecPlan); they differ only in routing,
-// accounting, and enforcement:
-//   kFlat      — lower the span as a 1-machine grid; no routing or
-//                accounting;
-//   kRouted    — route `deltas` through `cluster` under the vertex
-//                universe [0, universe) (scratch-reusing `routed`), charge
-//                the per-machine loads on the cluster's CommLedger under
-//                `label`, then run the machines x banks grid;
-//   kSimulated — route, then hand the RoutedBatch to `simulator` (must be
-//                non-null), which budgets each machine's resident shard +
-//                delivered sub-batch against s before running the grid.
-//                When a non-null `scheduler` with an active split policy is
-//                supplied, it owns the whole route-probe-execute loop:
-//                over-budget batches are deterministically bisected and
-//                retried instead of failing (see mpc::BatchScheduler).
-// With a null cluster every mode degrades to plain flat ingest.  All modes
-// leave identical sketch state.  An empty batch is a no-op (no round
-// charged).
-void routed_ingest(mpc::Cluster* cluster, VertexId universe,
-                   std::span<const EdgeDelta> deltas, const std::string& label,
-                   VertexSketches& sketches, mpc::RoutedBatch& routed,
-                   mpc::ExecMode mode = mpc::ExecMode::kRouted,
-                   mpc::Simulator* simulator = nullptr,
-                   mpc::BatchScheduler* scheduler = nullptr);
 
 }  // namespace streammpc

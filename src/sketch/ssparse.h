@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,37 +58,9 @@ class SSparseParams {
 };
 
 // Decodes every 1-sparse cell of a grid slice and returns the recovered
-// coordinates sorted and deduplicated.  Shared by SSparseRecovery and the
-// flat L0Sampler/arena storage, which hold the same row-major cell layout
-// without the per-level heap object.
+// coordinates sorted and deduplicated.  The L0Sampler and arena storage
+// hold one such rows x buckets row-major grid per level.
 std::vector<OneSparseResult> recover_cells(const SSparseParams& params,
                                            std::span<const OneSparseCell> cells);
-
-class SSparseRecovery {
- public:
-  // A default-constructed instance is the zero vector and owns no cells;
-  // cells are allocated on first update (sparse graphs stay cheap).
-  SSparseRecovery() = default;
-
-  void update(const SSparseParams& params, Coord c, std::int64_t delta);
-  void merge(const SSparseParams& params, const SSparseRecovery& other);
-
-  // Returns the decodable coordinates (deduplicated, unordered).  Exact
-  // support recovery w.h.p. when the vector is <= ~buckets/2 sparse;
-  // always a subset-of-support up to the negligible fingerprint-collision
-  // probability.
-  std::vector<OneSparseResult> recover(const SSparseParams& params) const;
-
-  bool allocated() const { return !cells_.empty(); }
-  bool is_zero() const;
-
-  // Memory words (8-byte units) currently held.
-  std::uint64_t words() const;
-
- private:
-  void ensure(const SSparseParams& params);
-
-  std::vector<OneSparseCell> cells_;  // rows * buckets, row-major
-};
 
 }  // namespace streammpc

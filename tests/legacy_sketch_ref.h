@@ -62,6 +62,14 @@ class LegacySSparseRecovery {
   }
 
   bool allocated() const { return !cells_.empty(); }
+  // Read-only probes for the s-sparse unit tests (tests/test_sketch.cc).
+  bool is_zero() const {
+    for (const OneSparseCell& cell : cells_)
+      if (!cell.is_zero()) return false;
+    return true;
+  }
+  // Memory words: 4 per OneSparseCell (w, the 2-word s, fp).
+  std::uint64_t words() const { return cells_.size() * 4; }
 
  private:
   void ensure(const SSparseParams& params) {

@@ -41,6 +41,7 @@
 #include "graph/reference.h"
 #include "graph/streams.h"
 #include "ingest/gutter_ingest.h"
+#include "ingest/ingest_runtime.h"
 #include "mpc/simulator.h"
 #include "sketch/delta_sketch.h"
 #include "sketch/graphsketch.h"
@@ -277,13 +278,14 @@ TEST(GutterIngest, RoutedDrainsChargeExactlyLikeDirectIngest) {
   // Direct: routed ingest of each capacity-sized chunk, in order.
   mpc::Cluster direct_cluster = test::make_cluster(n, machines);
   VertexSketches direct_vs(n, cfg);
+  const IngestPath direct{n, &direct_cluster, mpc::ExecMode::kRouted,
+                          /*scheduler=*/nullptr};
+  const IngestTarget target = sketch_target(direct_vs, nullptr);
   mpc::RoutedBatch scratch;
   for (std::size_t start = 0; start < deltas.size(); start += capacity) {
     const std::size_t len = std::min(capacity, deltas.size() - start);
-    routed_ingest(&direct_cluster, n,
-                  std::span<const EdgeDelta>(deltas).subspan(start, len),
-                  "gutter-parity", direct_vs, scratch,
-                  mpc::ExecMode::kRouted);
+    direct.deliver(std::span<const EdgeDelta>(deltas).subspan(start, len),
+                   "gutter-parity", target, scratch);
   }
 
   // Gutter: one gutter of the same capacity, so the drain batches are the
@@ -453,12 +455,12 @@ TEST(GutterFrontEnds, StreamingConnectivityAsyncMatchesSyncByteIdentically) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     const std::string where = "streaming/threads=" + std::to_string(threads);
     StreamingConnectivity sync_sc(n, sketch_config(n, 9000));
-    StreamingConnectivity async_sc(n, sketch_config(n, 9000));
     GutterIngestConfig gc;
     gc.gutter_capacity = 13;
     gc.drain_threads = threads;
     gc.gutters = 2;
-    async_sc.enable_async_ingest(gc);
+    StreamingConnectivity async_sc(n, sketch_config(n, 9000), nullptr,
+                                   mpc::ExecMode::kRouted, gc);
     ASSERT_NE(async_sc.gutter(), nullptr);
 
     for (const Batch& batch : stream) {
@@ -485,11 +487,11 @@ TEST(GutterFrontEnds, AgmAsyncMatchesSyncAndFlushesOnQuery) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     const std::string where = "agm/threads=" + std::to_string(threads);
     AgmStaticConnectivity sync_agm(n, sketch_config(n, 9100));
-    AgmStaticConnectivity async_agm(n, sketch_config(n, 9100));
     GutterIngestConfig gc;
     gc.gutter_capacity = 29;
     gc.drain_threads = threads;
-    async_agm.enable_async_ingest(gc);
+    AgmStaticConnectivity async_agm(n, sketch_config(n, 9100), nullptr,
+                                    mpc::ExecMode::kRouted, gc);
 
     AdjGraph ref(n);
     for (const Batch& batch : stream) {

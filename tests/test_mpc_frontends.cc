@@ -8,10 +8,16 @@
 // MSF, matching) plus the cross-mode equivalence loop over all of them.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bipartite/bipartiteness.h"
 #include "common/random.h"
+#include "core/agm_static.h"
+#include "core/dynamic_connectivity.h"
+#include "core/streaming_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
 #include "matching/dynamic_matching.h"
@@ -56,6 +62,173 @@ Batch bipartite_probe_batches(VertexId n, int round) {
   }
   return batch;
 }
+
+// ---------------- ledger pins per front end ---------------------------------
+// One seeded stream through each front end, sync and async, routed and
+// simulated; the ledger is compared per label against literal values
+// measured when every front end still wired its own simulator, scheduler
+// and gutter.  The sync-vs-async and mode-vs-flat comparisons cannot see a
+// wrong default ledger label in the shared ingest runtime — both sides
+// would move together — these pins can.
+
+enum class Front { kDynamic, kAgm, kStreaming, kMatching };
+
+struct LedgerPin {
+  std::map<std::string, std::uint64_t> rounds_by_label;
+  std::uint64_t total_words = 0;
+  std::uint64_t max_machine_load = 0;
+  std::vector<std::uint64_t> words_by_machine;
+};
+
+struct PinCase {
+  Front front;
+  mpc::ExecMode mode;
+  bool async;
+  LedgerPin pin;
+};
+
+LedgerPin run_pinned_stream(Front front, mpc::ExecMode mode, bool async) {
+  constexpr VertexId n = 64;
+  mpc::MpcConfig mc = test::small_mpc_config(n);
+  mc.machines = 4;
+  // Every delivery fits, so no SMPC_SCHED / SMPC_GROW setting splits,
+  // grows or records an overrun: the pins hold under every CI gate.
+  mc.local_memory_words = std::uint64_t{1} << 24;
+  mpc::Cluster cluster(mc);
+  Rng rng(97001);
+  gen::ChurnOptions opt;
+  opt.n = n;
+  opt.initial_edges = 2 * n;
+  opt.num_batches = 5;
+  opt.batch_size = 40;
+  opt.delete_fraction = 0.4;
+  const std::vector<Batch> stream = gen::churn_stream(opt, rng);
+  GraphSketchConfig sketch;
+  sketch.banks = 6;
+  sketch.seed = 97002;
+  GutterIngestConfig gutter;
+  gutter.gutter_capacity = 16;
+  gutter.drain_threads = 2;
+  std::optional<GutterIngestConfig> async_ingest;
+  if (async) async_ingest = gutter;
+  switch (front) {
+    case Front::kDynamic: {
+      ConnectivityConfig cc;
+      cc.sketch = sketch;
+      cc.exec_mode = mode;
+      cc.async_ingest = async;
+      cc.gutter = gutter;
+      DynamicConnectivity dc(n, cc, &cluster);
+      for (const Batch& b : stream) dc.apply_batch(b);
+      dc.flush_ingest();
+      break;
+    }
+    case Front::kAgm: {
+      AgmStaticConnectivity agm(n, sketch, &cluster, mode, async_ingest);
+      for (const Batch& b : stream) agm.apply_batch(b);
+      agm.flush_ingest();
+      break;
+    }
+    case Front::kStreaming: {
+      StreamingConnectivity sc(n, sketch, &cluster, mode, async_ingest);
+      for (const Batch& b : stream) sc.apply_stream(b);
+      sc.flush_ingest();
+      break;
+    }
+    case Front::kMatching: {
+      DynamicMatchingConfig mcfg;
+      mcfg.exec_mode = mode;
+      mcfg.seed = 97003;
+      DynamicApproxMatching matching(n, mcfg, &cluster);
+      for (const Batch& b : stream) matching.apply_batch(b);
+      break;
+    }
+  }
+  const mpc::CommLedger& ledger = cluster.comm_ledger();
+  return LedgerPin{cluster.rounds_by_label(), ledger.total_words(),
+                   ledger.max_machine_load(), ledger.words_by_machine()};
+}
+
+const PinCase kLedgerPins[] = {
+    {Front::kDynamic, mpc::ExecMode::kRouted, false,
+     {{{"connectivity/aux-H", 9},
+       {"connectivity/batch", 9},
+       {"connectivity/boruvka-gather", 5},
+       {"connectivity/preprocess", 26},
+       {"connectivity/relabel", 28},
+       {"connectivity/sketch-merge", 10},
+       {"connectivity/sketch-update", 14},
+       {"euler/batch-join", 36},
+       {"euler/batch-split", 15}},
+      1102, 44, {264, 292, 278, 268}}},
+    {Front::kDynamic, mpc::ExecMode::kRouted, true,
+     {{{"connectivity/aux-H", 9},
+       {"connectivity/batch", 9},
+       {"connectivity/boruvka-gather", 5},
+       {"connectivity/preprocess", 26},
+       {"connectivity/relabel", 28},
+       {"connectivity/sketch-merge", 10},
+       {"connectivity/sketch-update", 31},
+       {"euler/batch-join", 36},
+       {"euler/batch-split", 15}},
+      1102, 32, {264, 292, 278, 268}}},
+    {Front::kDynamic, mpc::ExecMode::kSimulated, false,
+     {{{"connectivity/aux-H", 9},
+       {"connectivity/batch", 9},
+       {"connectivity/boruvka-gather", 5},
+       {"connectivity/preprocess", 26},
+       {"connectivity/relabel", 28},
+       {"connectivity/sketch-merge", 10},
+       {"connectivity/sketch-update", 14},
+       {"euler/batch-join", 36},
+       {"euler/batch-split", 15}},
+      1102, 44, {264, 292, 278, 268}}},
+    {Front::kDynamic, mpc::ExecMode::kSimulated, true,
+     {{{"connectivity/aux-H", 9},
+       {"connectivity/batch", 9},
+       {"connectivity/boruvka-gather", 5},
+       {"connectivity/preprocess", 26},
+       {"connectivity/relabel", 28},
+       {"connectivity/sketch-merge", 10},
+       {"connectivity/sketch-update", 31},
+       {"euler/batch-join", 36},
+       {"euler/batch-split", 15}},
+      1102, 32, {264, 292, 278, 268}}},
+    {Front::kAgm, mpc::ExecMode::kRouted, false,
+     {{{"agm/sketch-update", 9}},
+      1158, 46, {284, 304, 290, 280}}},
+    {Front::kAgm, mpc::ExecMode::kRouted, true,
+     {{{"agm/sketch-update", 22}},
+      1158, 32, {284, 304, 290, 280}}},
+    {Front::kAgm, mpc::ExecMode::kSimulated, false,
+     {{{"agm/sketch-update", 9}},
+      1158, 46, {284, 304, 290, 280}}},
+    {Front::kAgm, mpc::ExecMode::kSimulated, true,
+     {{{"agm/sketch-update", 22}},
+      1158, 32, {284, 304, 290, 280}}},
+    {Front::kStreaming, mpc::ExecMode::kRouted, false,
+     {{{"streaming/sketch-update", 50}},
+      1158, 44, {284, 304, 290, 280}}},
+    {Front::kStreaming, mpc::ExecMode::kRouted, true,
+     {{{"streaming/sketch-update", 108}},
+      1158, 32, {284, 304, 290, 280}}},
+    {Front::kStreaming, mpc::ExecMode::kSimulated, false,
+     {{{"streaming/sketch-update", 50}},
+      1158, 44, {284, 304, 290, 280}}},
+    {Front::kStreaming, mpc::ExecMode::kSimulated, true,
+     {{{"streaming/sketch-update", 108}},
+      1158, 32, {284, 304, 290, 280}}},
+    {Front::kMatching, mpc::ExecMode::kRouted, false,
+     {{{"matching/maximal-batch", 18},
+       {"matching/preprocess", 26},
+       {"matching/sketch-update", 9}},
+      1158, 46, {284, 304, 290, 280}}},
+    {Front::kMatching, mpc::ExecMode::kSimulated, false,
+     {{{"matching/maximal-batch", 18},
+       {"matching/preprocess", 26},
+       {"matching/sketch-update", 9}},
+      1158, 46, {284, 304, 290, 280}}},
+};
 
 TEST(FrontEndModes, BipartitenessIdenticalAcrossModes) {
   const VertexId n = 24;
@@ -184,6 +357,19 @@ TEST(FrontEndModes, MatchingIdenticalAcrossModesAndExposesSimulator) {
       // carries real per-machine delivery loads for matching batches.
       EXPECT_GT(cluster.comm_ledger().total_words(), 0u);
     }
+  }
+}
+
+TEST(FrontEndLedgers, PinnedPerLabelAcrossModesAndAsync) {
+  for (const PinCase& c : kLedgerPins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "front " << static_cast<int>(c.front) << ", "
+                 << mode_name(c.mode) << (c.async ? ", async" : ", sync"));
+    const LedgerPin got = run_pinned_stream(c.front, c.mode, c.async);
+    EXPECT_EQ(got.rounds_by_label, c.pin.rounds_by_label);
+    EXPECT_EQ(got.total_words, c.pin.total_words);
+    EXPECT_EQ(got.max_machine_load, c.pin.max_machine_load);
+    EXPECT_EQ(got.words_by_machine, c.pin.words_by_machine);
   }
 }
 

@@ -24,6 +24,7 @@
 #include "mpc/simulator.h"
 #include "sketch/delta_sketch.h"
 #include "sketch/graphsketch.h"
+#include "resident_oracle.h"
 #include "test_support.h"
 
 namespace streammpc {
@@ -510,8 +511,9 @@ TEST(GridRollback, MidGridFaultRestoresExactBytesAcrossThreadsAndMachines) {
 // ---------------- Incremental resident fold ---------------------------------
 
 // The fold's O(n) oracle: every bank's page-map scan over each machine's
-// vertex block.  Reads the fold through both resident_fold and
-// resident_words, at the cluster's current machine count.
+// vertex block (tests/resident_oracle.h).  Reads the fold through both
+// resident_fold and resident_words, at the cluster's current machine
+// count.
 void expect_fold_exact(const VertexSketches& vs, const mpc::Cluster& cluster) {
   const std::span<const std::uint64_t> fold = vs.resident_fold(cluster);
   ASSERT_EQ(fold.size(), cluster.machines());
@@ -519,8 +521,8 @@ void expect_fold_exact(const VertexSketches& vs, const mpc::Cluster& cluster) {
     const auto [first, last] = cluster.vertex_block(m, vs.n());
     std::uint64_t oracle = 0;
     for (unsigned b = 0; b < vs.banks(); ++b) {
-      oracle += vs.arena(b).resident_words(static_cast<VertexId>(first),
-                                           static_cast<VertexId>(last));
+      oracle += test::resident_words(vs.arena(b), static_cast<VertexId>(first),
+                                     static_cast<VertexId>(last));
     }
     EXPECT_EQ(fold[m], oracle) << "machine " << m;
     EXPECT_EQ(vs.resident_words(m, cluster), oracle) << "machine " << m;

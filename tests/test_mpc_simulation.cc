@@ -14,6 +14,7 @@
 #include "core/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/streams.h"
+#include "ingest/ingest_runtime.h"
 #include "mpc/cluster.h"
 #include "mpc/simulator.h"
 #include "sketch/graphsketch.h"
@@ -34,11 +35,12 @@ constexpr std::uint64_t kMachineCounts[] = {1, 4, 16, 64};
 void ingest_chunked(VertexSketches& vs, std::span<const EdgeDelta> deltas,
                     std::size_t chunk, mpc::Cluster* cluster,
                     mpc::ExecMode mode, mpc::Simulator* sim) {
+  const IngestPath path{vs.n(), cluster, mode, /*scheduler=*/nullptr};
+  const IngestTarget target = sketch_target(vs, sim);
   mpc::RoutedBatch routed;
   for (std::size_t start = 0; start < deltas.size(); start += chunk) {
     const std::size_t len = std::min(chunk, deltas.size() - start);
-    routed_ingest(cluster, vs.n(), deltas.subspan(start, len), "conformance",
-                  vs, routed, mode, sim);
+    path.deliver(deltas.subspan(start, len), "conformance", target, routed);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "sketch/l0sampler.h"
 #include "sketch/onesparse.h"
 #include "sketch/ssparse.h"
+#include "legacy_sketch_ref.h"
 
 namespace streammpc {
 namespace {
@@ -157,6 +158,8 @@ TEST(OneSparse, ManyUpdatesFuzzAgainstDenseVector) {
 }
 
 // ---------------- s-sparse recovery --------------------------------------------
+// The standalone s-sparse object survives only as the seed reference in
+// tests/legacy_sketch_ref.h; the arena stores the same grid per level.
 
 TEST(SSparse, RecoversSparseSupportExactly) {
   SSparseParams params({3, 16}, 1 << 20, 555);
@@ -164,7 +167,7 @@ TEST(SSparse, RecoversSparseSupportExactly) {
   int perfect = 0;
   const int kTrials = 50;
   for (int t = 0; t < kTrials; ++t) {
-    SSparseRecovery rec;
+    legacy::LegacySSparseRecovery rec;
     std::set<Coord> support;
     while (support.size() < 5) support.insert(rng.below(1 << 20));
     for (Coord c : support) rec.update(params, c, 1);
@@ -182,7 +185,7 @@ TEST(SSparse, RecoversSparseSupportExactly) {
 
 TEST(SSparse, ZeroVectorRecoversNothing) {
   SSparseParams params({2, 8}, 1000, 556);
-  SSparseRecovery rec;
+  legacy::LegacySSparseRecovery rec;
   EXPECT_TRUE(rec.recover(params).empty());
   rec.update(params, 3, 1);
   rec.update(params, 3, -1);
@@ -192,7 +195,7 @@ TEST(SSparse, ZeroVectorRecoversNothing) {
 
 TEST(SSparse, MergeEqualsCombinedStream) {
   SSparseParams params({2, 8}, 1000, 557);
-  SSparseRecovery a, b, combined;
+  legacy::LegacySSparseRecovery a, b, combined;
   a.update(params, 10, 1);
   a.update(params, 20, 1);
   b.update(params, 20, -1);
@@ -211,7 +214,7 @@ TEST(SSparse, MergeEqualsCombinedStream) {
 
 TEST(SSparse, LazyAllocation) {
   SSparseParams params({2, 8}, 1000, 558);
-  SSparseRecovery rec;
+  legacy::LegacySSparseRecovery rec;
   EXPECT_FALSE(rec.allocated());
   EXPECT_EQ(rec.words(), 0u);
   rec.update(params, 1, 1);
